@@ -157,8 +157,8 @@ fn main() {
                 match shape.query {
                     "topk" => {
                         let score = LinearScore::uniform(shape.dims);
-                        // Untimed warmup: store-side caches (projections,
-                        // block mirrors) must not bill their build to
+                        // Untimed warmup: store-side caches (block
+                        // mirrors, skylines) must not bill their build to
                         // whichever executor happens to run first.
                         let _ = run_topk_certified(&ablated, init, score.clone(), shape.k, mode);
                         let t0 = Instant::now();

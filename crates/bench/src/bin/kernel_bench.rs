@@ -1,22 +1,21 @@
 //! Micro-benchmark for the columnar block layer and its scan kernels
 //! (PR acceptance run).
 //!
-//! Builds two MIDAS overlays from the same seed — one queried through the
-//! blocked kernel paths (`Executor::new`, blocks on by default), one
-//! through the block-free executor (`Executor::without_blocks`) so its
-//! stores never hold a columnar mirror — and times two *local-scan-bound*
-//! workloads over them:
+//! Builds one MIDAS overlay and times two *local-scan-bound* workloads
+//! over it through two executors: the blocked kernel paths
+//! (`Executor::new`) and the scalar reference (`Executor::naive`, which
+//! hands every peer a plain tuple slice, so no index or columnar mirror is
+//! ever read):
 //!
-//! * **ad-hoc top-k**: every query carries a fresh [`AdHoc`]-wrapped
-//!   scoring function, so no peer can amortise a score projection and the
-//!   local data plane runs on every visit (blocked: batched
-//!   `score_block` + bounded heap + `f⁺` block pruning; scalar: per-tuple
-//!   scoring + full sort);
+//! * **top-k**: every query carries a fresh linear scoring function
+//!   (blocked: batched `score_block` + bounded heap + `f⁺` block pruning;
+//!   scalar: per-tuple scoring + full sort);
 //! * **constrained skyline**: a selective constraint defeats the per-peer
 //!   skyline cache, so peers scan for the qualifying rows on every visit
 //!   (blocked: columnar `filter_in_box` + corner-pruned blocks + index
 //!   sort; scalar: per-tuple containment with a pointer chase per row,
-//!   clone the qualifying set, then recompute the skyline).
+//!   clone the qualifying set, recompute the skyline, then answer by a
+//!   linear id scan).
 //!
 //! Before timing, every query is cross-checked: identical answer streams
 //! and bit-identical cost ledgers (the data-plane scan counters are
@@ -36,7 +35,7 @@ use ripple_core::framework::Mode;
 use ripple_core::skyline::SkylineQuery;
 use ripple_core::topk::TopKQuery;
 use ripple_core::Executor;
-use ripple_geom::{AdHoc, LinearScore, Rect};
+use ripple_geom::{LinearScore, Rect};
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
@@ -86,14 +85,14 @@ fn initiators(net: &MidasNetwork, cfg: &Config) -> Vec<PeerId> {
         .collect()
 }
 
-/// One fresh ad-hoc scoring function per query: weights drawn from a seeded
-/// stream, never repeated, so neither arm can amortise a projection.
-fn adhoc_scores(cfg: &Config) -> Vec<AdHoc<LinearScore>> {
+/// One fresh scoring function per query: weights drawn from a seeded
+/// stream, never repeated.
+fn fresh_scores(cfg: &Config) -> Vec<LinearScore> {
     let mut rng = SmallRng::seed_from_u64(0xad0c);
     (0..cfg.queries)
         .map(|_| {
             let w: Vec<f64> = (0..DIMS).map(|_| 0.1 + 0.9 * rng.gen::<f64>()).collect();
-            AdHoc(LinearScore::new(w))
+            LinearScore::new(w)
         })
         .collect()
 }
@@ -111,11 +110,11 @@ fn constraint() -> Rect {
 fn topk_workload(
     exec: &Executor<'_, MidasNetwork>,
     inits: &[PeerId],
-    scores: &[AdHoc<LinearScore>],
+    scores: &[LinearScore],
 ) -> u64 {
     let mut sum = 0u64;
     for (&init, s) in inits.iter().zip(scores) {
-        let q = TopKQuery::new(AdHoc(s.0.clone()), K);
+        let q = TopKQuery::new(s.clone(), K);
         let out = exec.run(init, &q, Mode::Fast);
         sum = sum.wrapping_add(out.answers.len() as u64 + out.metrics.latency);
     }
@@ -138,13 +137,13 @@ fn verify_equivalence(
     blocked: &Executor<'_, MidasNetwork>,
     scalar: &Executor<'_, MidasNetwork>,
     inits: &[PeerId],
-    scores: &[AdHoc<LinearScore>],
+    scores: &[LinearScore],
 ) -> (u64, u64, u64) {
     let mut scanned_blocked = 0u64;
     let mut scanned_scalar = 0u64;
     let mut pruned = 0u64;
     for (i, (&init, s)) in inits.iter().zip(scores).enumerate() {
-        let q = TopKQuery::new(AdHoc(s.0.clone()), K);
+        let q = TopKQuery::new(s.clone(), K);
         let a = blocked.run(init, &q, Mode::Fast);
         let b = scalar.run(init, &q, Mode::Fast);
         assert_eq!(a.metrics, b.metrics, "top-k ledgers diverged at query {i}");
@@ -183,18 +182,15 @@ fn verify_equivalence(
 fn main() {
     let cfg = Config::from_args();
     eprintln!(
-        "building twin networks: {} peers, {} tuples, {DIMS}-d ...",
+        "building network: {} peers, {} tuples, {DIMS}-d ...",
         cfg.peers, cfg.records
     );
-    // Twin overlays from the same seed: the scalar arm's stores never build
-    // a columnar mirror, so its timings are the true scalar baseline.
-    let net_blocked = build(&cfg);
-    let net_scalar = build(&cfg);
-    let inits = initiators(&net_blocked, &cfg);
-    let scores = adhoc_scores(&cfg);
+    let net = build(&cfg);
+    let inits = initiators(&net, &cfg);
+    let scores = fresh_scores(&cfg);
 
-    let blocked = Executor::new(&net_blocked);
-    let scalar = Executor::new(&net_scalar).without_blocks();
+    let blocked = Executor::new(&net);
+    let scalar = Executor::naive(&net);
 
     eprintln!(
         "verifying blocked == scalar on all {} queries ...",
@@ -223,7 +219,7 @@ fn main() {
     let topk_speedup = topk_scalar.ns_per_iter / topk_blocked.ns_per_iter;
     let sky_speedup = sky_scalar.ns_per_iter / sky_blocked.ns_per_iter;
     println!(
-        "ad-hoc top-k        : scalar {:.2} ms  blocked {:.2} ms  speedup {:.2}x",
+        "top-k               : scalar {:.2} ms  blocked {:.2} ms  speedup {:.2}x",
         topk_scalar.ms_per_iter(),
         topk_blocked.ms_per_iter(),
         topk_speedup
@@ -237,7 +233,7 @@ fn main() {
 
     if !cfg.quick {
         let json = format!(
-            "{{\n  \"bench\": \"kernels\",\n  {cpu},\n  \"config\": {{ \"peers\": {}, \"records\": {}, \"dims\": {DIMS}, \"queries\": {}, \"k\": {K}, \"mode\": \"fast\", \"scores\": \"ad-hoc (no projection caching)\" }},\n  \"equivalence\": \"verified (identical answer streams + bit-identical ledgers on all queries)\",\n  \"scan_accounting\": {{ \"blocked_rows\": {scanned_blocked}, \"scalar_rows\": {scanned_scalar}, \"blocks_pruned\": {pruned} }},\n  \"topk_adhoc\": {{ \"scalar_ms\": {:.4}, \"blocked_ms\": {:.4}, \"speedup\": {:.3} }},\n  \"skyline_constrained\": {{ \"scalar_ms\": {:.4}, \"blocked_ms\": {:.4}, \"speedup\": {:.3} }}\n}}\n",
+            "{{\n  \"bench\": \"kernels\",\n  {cpu},\n  \"config\": {{ \"peers\": {}, \"records\": {}, \"dims\": {DIMS}, \"queries\": {}, \"k\": {K}, \"mode\": \"fast\", \"scores\": \"fresh linear weights per query\", \"scalar_arm\": \"Executor::naive\" }},\n  \"equivalence\": \"verified (identical answer streams + bit-identical ledgers on all queries)\",\n  \"scan_accounting\": {{ \"blocked_rows\": {scanned_blocked}, \"scalar_rows\": {scanned_scalar}, \"blocks_pruned\": {pruned} }},\n  \"topk\": {{ \"scalar_ms\": {:.4}, \"blocked_ms\": {:.4}, \"speedup\": {:.3} }},\n  \"skyline_constrained\": {{ \"scalar_ms\": {:.4}, \"blocked_ms\": {:.4}, \"speedup\": {:.3} }}\n}}\n",
             cfg.peers,
             cfg.records,
             cfg.queries,

@@ -9,7 +9,7 @@
 //! invalidated by data churn, not by queries).
 //!
 //! Top-k queries draw their scoring functions from a small pool (a hot
-//! query distribution) so score projections amortize across queries;
+//! query distribution) and scan each peer's columnar block mirror;
 //! skyline uses the incrementally-maintained per-peer skyline and needs no
 //! warm pool. Before timing, the two paths are cross-checked for identical
 //! answers and bit-identical cost ledgers on every query.

@@ -40,7 +40,7 @@ use ripple_core::planner::{run_planned, PlanInputs, Planner, QueryHint};
 use ripple_core::skyline::SkylineQuery;
 use ripple_core::topk::TopKQuery;
 use ripple_core::Executor;
-use ripple_geom::{AdHoc, DiversityQuery, LinearScore, Norm, Rect, Tuple};
+use ripple_geom::{DiversityQuery, LinearScore, Norm, Rect, Tuple};
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::SeedableRng;
@@ -311,7 +311,7 @@ fn run_config(cfg: &FigConfig, rounds_after_probe: usize) -> Vec<ArmResult> {
     match &cfg.workload {
         Workload::TopK { k } => {
             let weights: Vec<f64> = (0..cfg.dims).map(|d| 1.0 / (d + 1) as f64).collect();
-            arms!(TopKQuery::new(AdHoc(LinearScore::new(weights)), *k))
+            arms!(TopKQuery::new(LinearScore::new(weights), *k))
         }
         Workload::Skyline { constraint } => match constraint {
             Some(c) => arms!(SkylineQuery::constrained(c.clone())),

@@ -9,7 +9,7 @@ use ripple_chord::ChordNetwork;
 use ripple_core::framework::Mode;
 use ripple_core::topk::TopKQuery;
 use ripple_core::Executor;
-use ripple_geom::{AdHoc, LinearScore, Tuple};
+use ripple_geom::{LinearScore, Tuple};
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
 use ripple_net::FaultPlane;
@@ -66,7 +66,7 @@ fn lsm_matches_rebuilt_twin_on_the_ring() {
         lsm.check_invariants();
         legacy.check_invariants();
         for k in [1usize, 12] {
-            let q = TopKQuery::new(AdHoc(LinearScore::uniform(1)), k);
+            let q = TopKQuery::new(LinearScore::uniform(1), k);
             for plane in planes {
                 for mode in MODES {
                     let initiator = lsm.random_peer(&mut rng);

@@ -1,15 +1,15 @@
 //! Chord-side kernel equivalence: the twin of `ripple-core`'s
 //! `kernel_equivalence` suite. The columnar block mirror and its scan
 //! kernels live entirely below the substrate boundary, so a blocked
-//! executor and a block-free one must be observationally identical over
-//! ring-arc regions exactly as over MIDAS boxes — including under fault
-//! planes, failover and the parallel engine.
+//! executor and the naive scalar reference must be observationally
+//! identical over ring-arc regions exactly as over MIDAS boxes — including
+//! under fault planes, failover and the parallel engine.
 
 use ripple_chord::ChordNetwork;
 use ripple_core::framework::Mode;
 use ripple_core::topk::TopKQuery;
 use ripple_core::Executor;
-use ripple_geom::{AdHoc, LinearScore, Tuple};
+use ripple_geom::{LinearScore, Tuple};
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
 use ripple_net::FaultPlane;
@@ -31,14 +31,12 @@ fn blocked_equals_scalar_on_the_ring() {
     let (net, mut rng) = loaded_ring(64, 3000, 71);
     let planes = [FaultPlane::none(), FaultPlane::drops(0.15, 23)];
     for k in [1usize, 12] {
-        // No cache key: peers take the blocked kernel scan, not the
-        // memoised projection.
-        let q = TopKQuery::new(AdHoc(LinearScore::uniform(1)), k);
+        let q = TopKQuery::new(LinearScore::uniform(1), k);
         for plane in planes {
             for mode in MODES {
                 let initiator = net.random_peer(&mut rng);
                 let blocked = Executor::with_faults(&net, plane, 9);
-                let scalar = Executor::with_faults(&net, plane, 9).without_blocks();
+                let scalar = Executor::with_faults(&net, plane, 9).without_index();
                 let b = blocked.run(initiator, &q, mode);
                 let s = scalar.run(initiator, &q, mode);
                 assert_eq!(
@@ -62,7 +60,7 @@ fn forced_simd_equals_forced_scalar_on_the_ring() {
     let (net, mut rng) = loaded_ring(48, 2400, 73);
     let planes = [FaultPlane::none(), FaultPlane::drops(0.15, 23)];
     for k in [1usize, 12] {
-        let q = TopKQuery::new(AdHoc(LinearScore::uniform(1)), k);
+        let q = TopKQuery::new(LinearScore::uniform(1), k);
         for plane in planes {
             for mode in MODES {
                 let initiator = net.random_peer(&mut rng);
@@ -94,7 +92,7 @@ fn planner_probes_and_exploits_on_the_ring() {
     use ripple_net::PlanSource;
     let (net, mut rng) = loaded_ring(48, 2400, 74);
     let exec = Executor::new(&net);
-    let query = TopKQuery::new(AdHoc(LinearScore::uniform(1)), 8);
+    let query = TopKQuery::new(LinearScore::uniform(1), 8);
     // Chord has no tree depth; log2 of the ring size is the radius scale.
     let delta = (net.peer_count() as f64).log2().ceil() as u32;
     let inputs = PlanInputs {
@@ -124,18 +122,14 @@ fn planner_probes_and_exploits_on_the_ring() {
 
 #[test]
 fn blocked_scan_prunes_on_the_ring() {
-    // Twin networks from the same seed: the baseline ring never builds a
-    // block mirror, so its scan counts are the true scalar effort. Few
-    // peers, many tuples: every store spans several blocks, which is what
-    // gives the bounded heap blocks to skip.
-    let (net_b, mut rng) = loaded_ring(8, 12000, 72);
-    let (net_s, _) = loaded_ring(8, 12000, 72);
-    let q = TopKQuery::new(AdHoc(LinearScore::new(vec![1.0])), 4);
-    let initiator = net_b.random_peer(&mut rng);
-    let b = Executor::new(&net_b).run(initiator, &q, Mode::Fast);
-    let s = Executor::new(&net_s)
-        .without_blocks()
-        .run(initiator, &q, Mode::Fast);
+    // The naive reference scans plain slices, so its scan counts are the
+    // true scalar effort. Few peers, many tuples: every store spans several
+    // blocks, which is what gives the bounded heap blocks to skip.
+    let (net, mut rng) = loaded_ring(8, 12000, 72);
+    let q = TopKQuery::new(LinearScore::new(vec![1.0]), 4);
+    let initiator = net.random_peer(&mut rng);
+    let b = Executor::new(&net).run(initiator, &q, Mode::Fast);
+    let s = Executor::naive(&net).run(initiator, &q, Mode::Fast);
     assert!(b.metrics.blocks_pruned > 0, "selective top-k prunes blocks");
     assert_eq!(s.metrics.blocks_pruned, 0, "scalar path never prunes");
     assert!(b.metrics.tuples_scanned < s.metrics.tuples_scanned);

@@ -74,7 +74,7 @@ impl RankQuery<Rect> for SingleTupleQuery<'_> {
 
     /// Algorithm 16: the local τ is the local best φ if it improves on τG.
     ///
-    /// φ depends on the evolving set `O`, so no fixed projection applies —
+    /// φ depends on the evolving set `O`, so no per-peer index applies —
     /// both view flavours scan (the per-tuple work is the φ evaluation).
     fn compute_local_state(&self, view: &LocalView<'_>, global: &f64) -> f64 {
         match self.best_local(view.tuples()) {

@@ -129,8 +129,9 @@ struct QuerySession {
 pub struct Executor<'a, O> {
     net: &'a O,
     /// When set, peers are handed plain tuple slices even on indexed
-    /// substrates — the pre-index scan paths. Used by equivalence tests and
-    /// the local-index benchmark; results and metrics must not differ.
+    /// substrates — the scalar scan paths, with no index or block mirror.
+    /// The reference arm of the index and kernel equivalence suites and
+    /// benchmarks; results and metrics must not differ.
     naive: bool,
     /// The fault-injection policy ([`FaultPlane::none`] by default).
     plane: FaultPlane,
@@ -144,12 +145,6 @@ pub struct Executor<'a, O> {
     /// with no replica set configured this flag is inert, so the executor
     /// stays bit-identical to the replica-unaware one).
     use_replicas: bool,
-    /// Whether indexed views expose the store's columnar block mirror to the
-    /// query functions (on by default). Off, indexed views degrade to
-    /// [`LocalView::IndexedScalar`] — caches still work, but the blocked
-    /// kernel scan paths are bypassed; results and metrics must not differ
-    /// (the kernel equivalence suite enforces it).
-    use_blocks: bool,
     /// The kernel dispatch arm (scalar / SIMD / auto) every blocked view
     /// handed out by this executor runs its scans on. `Auto` by default;
     /// the equivalence suites pin both forced arms against each other.
@@ -214,7 +209,6 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
             stream: 0,
             trace: true,
             use_replicas: true,
-            use_blocks: true,
             dispatch: KernelDispatch::Auto,
             certificates: true,
             corruption: CorruptionPlane::none(),
@@ -225,10 +219,7 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
     /// Creates an executor that ignores per-peer indexes and scans, exactly
     /// like the pre-index code paths.
     pub fn naive(net: &'a O) -> Self {
-        Self {
-            naive: true,
-            ..Self::new(net)
-        }
+        Self::new(net).without_index()
     }
 
     /// Creates a fault-aware executor. Each `run` opens the plane's decision
@@ -258,13 +249,11 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
         self
     }
 
-    /// Disables the columnar block mirror: indexed views are handed to the
-    /// query functions as [`LocalView::IndexedScalar`], keeping every cache
-    /// but forcing the scalar scan paths. Used by the kernel equivalence
-    /// suite and as the baseline arm of the kernel benchmark; results and
-    /// metrics must be bit-identical to the blocked executor.
-    pub fn without_blocks(mut self) -> Self {
-        self.use_blocks = false;
+    /// Hands every peer a plain tuple slice, as [`Executor::naive`] does,
+    /// on an executor built any other way (e.g. fault-aware). The scalar
+    /// reference arm of the kernel equivalence suites under fault planes.
+    pub fn without_index(mut self) -> Self {
+        self.naive = true;
         self
     }
 
@@ -341,14 +330,12 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
     }
 
     /// The view of `peer`'s tuples handed to the query functions. Indexed
-    /// views are re-stamped with this executor's kernel dispatch arm (or
-    /// downgraded to scalar when blocks are disabled).
+    /// views are re-stamped with this executor's kernel dispatch arm.
     fn view_of(&self, peer: PeerId) -> LocalView<'_> {
         if self.naive {
             return LocalView::Plain(self.net.peer_tuples(peer));
         }
         match self.net.peer_view(peer) {
-            LocalView::Indexed(store, _) if !self.use_blocks => LocalView::IndexedScalar(store),
             LocalView::Indexed(store, _) => LocalView::Indexed(store, self.dispatch),
             view => view,
         }

@@ -51,8 +51,8 @@ pub trait RippleOverlay {
     ///
     /// Substrates whose peers keep their tuples in a [`PeerStore`] should
     /// override this to return [`LocalView::Indexed`], which lets query
-    /// implementations use the store's local index layer (score-sorted
-    /// projections, incremental skyline) instead of scanning. The default
+    /// implementations use the store's local index layer (columnar block
+    /// mirror, incremental skyline) instead of scanning slices. The default
     /// plain view is always correct — the index layer is a pure wall-clock
     /// optimisation and never changes results or hop/message metrics.
     ///

@@ -107,7 +107,7 @@ fn indexed_equals_naive_under_churn() {
     let (mut net, mut rng) = loaded_net(dims, 24, 300, 21);
     let mut next_id = 300u64;
     for round in 0..4 {
-        // inserts: exercises the incremental skyline fold and projection
+        // inserts: exercises the incremental skyline fold and block mirror
         // invalidation on loaded stores
         for _ in 0..40 {
             let t = random_tuple(next_id, dims, &mut rng);

@@ -29,7 +29,7 @@ use crate::exec::Executor;
 use crate::framework::{Mode, RankQuery};
 use crate::skyline::SkylineQuery;
 use crate::topk::TopKQuery;
-use ripple_geom::{AdHoc, LinearScore, Rect, Tuple};
+use ripple_geom::{LinearScore, Rect, Tuple};
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
@@ -113,14 +113,12 @@ fn assert_twins_agree<Q>(
     }
 }
 
-/// The query battery: cached and ad-hoc top-k (projection merge and kernel
-/// scan paths) plus unconstrained and constrained skyline (the blocked
-/// fold over masked runs).
+/// The query battery: top-k (the blocked kernel scan over runs and
+/// memtable) plus unconstrained and constrained skyline (the blocked fold
+/// over masked runs).
 fn check_battery(lsm: &MidasNetwork, legacy: &MidasNetwork, dims: usize, rng: &mut SmallRng) {
     let q = TopKQuery::new(LinearScore::uniform(dims), 8);
-    assert_twins_agree(lsm, legacy, &q, rng, "topk-cached-linear");
-    let q = TopKQuery::new(AdHoc(LinearScore::uniform(dims)), 8);
-    assert_twins_agree(lsm, legacy, &q, rng, "topk-adhoc-linear");
+    assert_twins_agree(lsm, legacy, &q, rng, "topk-linear");
     assert_twins_agree(lsm, legacy, &SkylineQuery::new(), rng, "skyline");
     let c = Rect::new(vec![0.1; dims], vec![0.9; dims]);
     assert_twins_agree(
@@ -263,10 +261,10 @@ fn ingest_counters_surface_in_the_ledger() {
     lsm.insert_batch(batch);
     let doomed = doomed_ids(&mut live, 0.1, &mut rng);
     assert!(lsm.delete_tuples(&doomed) > 0);
-    // Ad-hoc score: every visited peer runs the blocked kernel scan over
-    // its runs-plus-memtable snapshot (the cached-skyline path rebuilds
-    // scalar unless a mirror is already warm, so it cannot pin counters).
-    let q = TopKQuery::new(AdHoc(LinearScore::uniform(dims)), 16);
+    // Top-k: every visited peer runs the blocked kernel scan over its
+    // runs-plus-memtable snapshot (the cached-skyline path rebuilds scalar
+    // unless a mirror is already warm, so it cannot pin counters).
+    let q = TopKQuery::new(LinearScore::uniform(dims), 16);
     let initiator = lsm.random_peer(&mut rng);
     let r = Executor::new(&lsm).run(initiator, &q, Mode::Broadcast);
     assert!(

@@ -1,10 +1,9 @@
 //! Equivalence suite for the columnar block layer and its scan kernels.
 //!
 //! The block mirror is a *data layout*, not a semantics change: an executor
-//! running the blocked kernel paths ([`Executor::new`], blocks on by
-//! default) and one with the mirror disabled
-//! ([`Executor::without_blocks`], indexed views degrade to
-//! `LocalView::IndexedScalar`) must produce
+//! running the blocked kernel paths ([`Executor::new`]) and the scalar
+//! reference ([`Executor::naive`], plain tuple slices, no index — built
+//! fault-aware via [`Executor::without_index`]) must produce
 //!
 //! 1. **identical answer streams, element for element** — the blocked top-k
 //!    τ-filter emits rows in ascending store order exactly like the scalar
@@ -17,11 +16,9 @@
 //!    counters, which are *expected* to differ: that is the optimisation);
 //! 3. **identical coverage**, under fault planes and replica failover.
 //!
-//! The checks run the `AdHoc` score wrapper (no cache key, so top-k takes
-//! the blocked kernel scan instead of the memoised projection) alongside
-//! cacheable scores (whose projections are *rebuilt* through the kernels),
-//! across every mode, fault plane, and the parallel engine — and repeat
-//! under churn so generation bumps invalidate and rebuild the mirror.
+//! The checks run linear and peak scores across every mode, fault plane,
+//! and the parallel engine — and repeat under churn so generation bumps
+//! invalidate and rebuild the mirror.
 //!
 //! The Chord-side twin lives in `ripple-chord`'s `tests/kernels.rs`.
 
@@ -29,7 +26,7 @@ use crate::exec::Executor;
 use crate::framework::{Mode, RankQuery};
 use crate::skyline::SkylineQuery;
 use crate::topk::TopKQuery;
-use ripple_geom::{AdHoc, LinearScore, Norm, PeakScore, Rect, Tuple};
+use ripple_geom::{LinearScore, Norm, PeakScore, Rect, Tuple};
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
@@ -61,7 +58,8 @@ fn planes() -> [FaultPlane; 2] {
     [FaultPlane::none(), FaultPlane::drops(0.15, 17)]
 }
 
-/// Runs `query` through the blocked and the block-free executor under every
+/// Runs `query` through the blocked executor and the naive scalar reference
+/// under every
 /// plane × mode (sequential and parallel) and asserts observational
 /// equality.
 fn assert_blocked_invisible<Q>(net: &MidasNetwork, query: &Q, rng: &mut SmallRng, label: &str)
@@ -74,7 +72,7 @@ where
         for mode in MODES {
             let initiator = net.random_peer(rng);
             let blocked = Executor::with_faults(net, plane, 7);
-            let scalar = Executor::with_faults(net, plane, 7).without_blocks();
+            let scalar = Executor::with_faults(net, plane, 7).without_index();
             let b = blocked.run(initiator, query, mode);
             let s = scalar.run(initiator, query, mode);
             assert_eq!(
@@ -112,20 +110,18 @@ where
     }
 }
 
-/// The query battery: ad-hoc (kernel-scanned) and cacheable (projection)
-/// score families for top-k, with small and large `k` so both the
-/// heap-pruning and the `m < k` top-up paths run, plus unconstrained and
-/// constrained skyline (the latter is the blocked fold path).
+/// The query battery: linear and peak top-k, with small and large `k` so
+/// both the heap-pruning and the `m < k` top-up paths run, plus
+/// unconstrained and constrained skyline (the latter is the blocked fold
+/// path).
 fn check_all_queries(net: &MidasNetwork, dims: usize, rng: &mut SmallRng) {
     for k in [1usize, 8, 64] {
-        let q = TopKQuery::new(AdHoc(LinearScore::uniform(dims)), k);
-        assert_blocked_invisible(net, &q, rng, &format!("topk-adhoc-linear k={k}"));
+        let q = TopKQuery::new(LinearScore::uniform(dims), k);
+        assert_blocked_invisible(net, &q, rng, &format!("topk-linear k={k}"));
     }
     let peak: Vec<f64> = (0..dims).map(|_| rng.gen::<f64>()).collect();
-    let q = TopKQuery::new(AdHoc(PeakScore::new(peak, Norm::L2)), 8);
-    assert_blocked_invisible(net, &q, rng, "topk-adhoc-peak");
-    let q = TopKQuery::new(LinearScore::uniform(dims), 8);
-    assert_blocked_invisible(net, &q, rng, "topk-cached-linear");
+    let q = TopKQuery::new(PeakScore::new(peak, Norm::L2), 8);
+    assert_blocked_invisible(net, &q, rng, "topk-peak");
     assert_blocked_invisible(net, &SkylineQuery::new(), rng, "skyline");
     let c = Rect::new(vec![0.15; dims], vec![0.85; dims]);
     assert_blocked_invisible(
@@ -168,8 +164,8 @@ fn blocked_equals_scalar_under_churn() {
             net.leave(victim);
         }
         net.check_invariants();
-        let q = TopKQuery::new(AdHoc(LinearScore::uniform(dims)), 8);
-        assert_blocked_invisible(&net, &q, &mut rng, "churn topk-adhoc");
+        let q = TopKQuery::new(LinearScore::uniform(dims), 8);
+        assert_blocked_invisible(&net, &q, &mut rng, "churn topk");
         let c = Rect::new(vec![0.1; dims], vec![0.9; dims]);
         assert_blocked_invisible(
             &net,
@@ -245,12 +241,12 @@ fn forced_simd_equals_forced_scalar_across_modes_and_planes() {
     for (dims, peers, tuples, seed) in [(3, 28, 1800, 61u64), (4, 24, 1600, 62)] {
         let (net, mut rng) = loaded_net(dims, peers, tuples, seed);
         for k in [1usize, 8, 64] {
-            let q = TopKQuery::new(AdHoc(LinearScore::uniform(dims)), k);
-            assert_dispatch_invisible(&net, &q, &mut rng, &format!("topk-adhoc-linear k={k}"));
+            let q = TopKQuery::new(LinearScore::uniform(dims), k);
+            assert_dispatch_invisible(&net, &q, &mut rng, &format!("topk-linear k={k}"));
         }
         let peak: Vec<f64> = (0..dims).map(|_| rng.gen::<f64>()).collect();
-        let q = TopKQuery::new(AdHoc(PeakScore::new(peak, Norm::L2)), 8);
-        assert_dispatch_invisible(&net, &q, &mut rng, "topk-adhoc-peak");
+        let q = TopKQuery::new(PeakScore::new(peak, Norm::L2), 8);
+        assert_dispatch_invisible(&net, &q, &mut rng, "topk-peak");
         assert_dispatch_invisible(&net, &SkylineQuery::new(), &mut rng, "skyline");
         let c = Rect::new(vec![0.15; dims], vec![0.85; dims]);
         assert_dispatch_invisible(
@@ -269,7 +265,7 @@ fn planner_runs_are_dispatch_invariant() {
     let (net, mut rng) = loaded_net(4, 24, 1600, 63);
     let exec_s = Executor::new(&net).with_dispatch(KernelDispatch::ForcedScalar);
     let exec_v = Executor::new(&net).with_dispatch(KernelDispatch::ForcedSimd);
-    let query = TopKQuery::new(AdHoc(LinearScore::uniform(4)), 8);
+    let query = TopKQuery::new(LinearScore::uniform(4), 8);
     let inputs = PlanInputs {
         peers: net.peer_count(),
         delta: net.delta(),
@@ -315,17 +311,13 @@ fn planner_runs_are_dispatch_invariant() {
 
 #[test]
 fn scan_counters_report_blocked_work() {
-    // Two identical networks (same build seed): one queried through the
-    // blocked executor, one through the block-free one, so the baseline's
-    // stores never hold a mirror warm enough to reuse.
-    let (net_b, mut rng) = loaded_net(2, 32, 4000, 57);
-    let (net_s, _) = loaded_net(2, 32, 4000, 57);
-    let q = TopKQuery::new(AdHoc(LinearScore::new(vec![0.9, 0.1])), 4);
-    let initiator = net_b.random_peer(&mut rng);
-    let b = Executor::new(&net_b).run(initiator, &q, Mode::Fast);
-    let s = Executor::new(&net_s)
-        .without_blocks()
-        .run(initiator, &q, Mode::Fast);
+    // The blocked executor against the naive scalar reference, which scans
+    // plain slices and never touches a mirror.
+    let (net, mut rng) = loaded_net(2, 32, 4000, 57);
+    let q = TopKQuery::new(LinearScore::new(vec![0.9, 0.1]), 4);
+    let initiator = net.random_peer(&mut rng);
+    let b = Executor::new(&net).run(initiator, &q, Mode::Fast);
+    let s = Executor::naive(&net).run(initiator, &q, Mode::Fast);
     assert!(
         b.metrics.tuples_scanned > 0,
         "blocked run must report data-plane work"
@@ -353,7 +345,7 @@ fn scan_counters_report_blocked_work() {
 #[test]
 fn tracing_off_reports_zero_scan_work() {
     let (net, mut rng) = loaded_net(2, 16, 800, 58);
-    let q = TopKQuery::new(AdHoc(LinearScore::uniform(2)), 4);
+    let q = TopKQuery::new(LinearScore::uniform(2), 4);
     let initiator = net.random_peer(&mut rng);
     let on = Executor::new(&net).run(initiator, &q, Mode::Fast);
     let off = Executor::new(&net)

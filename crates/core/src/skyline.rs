@@ -146,16 +146,16 @@ impl RankQuery<Rect> for SkylineQuery {
     ///
     /// On an indexed view the unconstrained local skyline comes from the
     /// store's incrementally-maintained cache (identical set and order to a
-    /// recompute); constrained queries over a blocked view run the columnar
+    /// recompute); constrained queries over an indexed view run the columnar
     /// fold of [`Self::blocked_constrained_state`]; otherwise they filter
     /// and scan.
     fn compute_local_state(&self, view: &LocalView<'_>, global: &Vec<Tuple>) -> Vec<Tuple> {
-        if let (Some((store, dispatch)), Some(c)) = (view.blocked_store(), &self.constraint) {
+        if let (Some((store, dispatch)), Some(c)) = (view.store(), &self.constraint) {
             // Already thinned by the global state (see the method docs).
             return self.blocked_constrained_state(store, dispatch, c, global);
         }
         let local_sky = match (view.store(), &self.constraint) {
-            (Some(store), None) => store.skyline_at(view.dispatch()),
+            (Some((store, dispatch)), None) => store.skyline_at(dispatch),
             _ => {
                 scan::add_scanned(view.tuples().len() as u64);
                 let qualifying: Vec<Tuple> = self
@@ -194,7 +194,7 @@ impl RankQuery<Rect> for SkylineQuery {
     /// Algorithm 12: the local tuples among the state. Indexed views answer
     /// the membership test from the store's cached id set.
     fn compute_local_answer(&self, view: &LocalView<'_>, local: &Vec<Tuple>) -> Vec<Tuple> {
-        if let Some(store) = view.store() {
+        if let Some((store, _)) = view.store() {
             return local
                 .iter()
                 .filter(|s| store.contains_id(s.id))

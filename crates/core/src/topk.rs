@@ -54,29 +54,18 @@ impl<F: ScoreFn> TopKQuery<F> {
         Self { score, k }
     }
 
-    /// Scores of the peer's tuples, best first.
-    fn ranked<'t>(&self, tuples: &'t [Tuple]) -> Vec<(&'t Tuple, f64)> {
-        let mut scored: Vec<(&Tuple, f64)> = tuples
-            .iter()
-            .map(|t| (t, self.score.score(&t.point)))
-            .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-        scored
-    }
-
-    /// Algorithm 4 on an already-ranked score stream: count the qualifying
-    /// prefix, top up while the global count falls short of `k`.
-    ///
-    /// Only the best `k` scores are ever inspected (`above ≤ k` before and
-    /// after the top-up), so a lazy iterator from a cached projection makes
-    /// this a truncated walk instead of a full sort.
+    /// Algorithm 4 on the best scores of a peer holding `total` tuples,
+    /// sorted descending (at least the best `min(k, total)` of them): count
+    /// the qualifying prefix, top up while the global count falls short of
+    /// `k`. Only the best `k` scores are ever inspected (`above ≤ k` before
+    /// and after the top-up).
     fn state_from_ranked(
         &self,
-        scores_desc: impl Iterator<Item = f64>,
+        scores_desc: &[f64],
         total: usize,
         global: &TopKState,
     ) -> TopKState {
-        let prefix: Vec<f64> = scores_desc.take(self.k).collect();
+        let prefix = &scores_desc[..scores_desc.len().min(self.k)];
         let mut above: usize = prefix.iter().take_while(|s| **s >= global.tau).count();
         if global.m + above < self.k {
             let missing = self.k - global.m - above;
@@ -98,28 +87,38 @@ impl<F: ScoreFn> TopKQuery<F> {
 
     /// Algorithm 4 over the store's columnar mirror: score whole blocks
     /// through the [`ScoreFn::score_block`] kernel, keep the best `k` scores
-    /// in a bounded heap, and skip any block whose region bound `f⁺` (over
-    /// the block's bounding box) falls strictly below the current `k`-th
-    /// best score. The heap minimum only ever rises, so a skipped block's
-    /// scores all sit strictly below the *final* `k`-th value and cannot
-    /// change the top-`k` score multiset — the resulting `(m, τ)` state is
-    /// bit-identical to the scalar sort's.
+    /// in a [`kernels::TopScores`] selector, and skip any block whose region
+    /// bound `f⁺` (over the block's bounding box) falls strictly below the
+    /// current `k`-th best score. That threshold only ever rises, so a
+    /// skipped block's scores all sit strictly below the *final* `k`-th
+    /// value and cannot change the top-`k` score multiset.
+    ///
+    /// Once the global state already holds `k` tuples there is no top-up,
+    /// so only local scores at or above `τ_G` can enter the state: lower
+    /// scores are never offered and blocks bounded below `τ_G` are skipped
+    /// too. Either way the resulting `(m, τ)` state is bit-identical to the
+    /// scalar sort's.
     fn blocked_state(
         &self,
         store: &PeerStore,
         dispatch: KernelDispatch,
         global: &TopKState,
     ) -> TopKState {
+        let floor = (global.m >= self.k).then_some(global.tau);
         let blocks = store.blocks_at(dispatch);
-        let mut heap = kernels::TopScores::new(self.k);
+        let mut top = kernels::TopScores::new(self.k);
         let mut cols: Vec<&[f64]> = Vec::new();
         let mut scores: Vec<f64> = Vec::new();
         for b in 0..blocks.num_blocks() {
-            if let Some(min) = heap.min() {
+            let bar = match (top.min(), floor) {
+                (Some(min), Some(floor)) => Some(min.max(floor)),
+                (min, floor) => min.or(floor),
+            };
+            if let Some(bar) = bar {
                 let ub = self
                     .score
                     .upper_bound_corners(blocks.block_min(b), blocks.block_max(b));
-                if ub < min {
+                if ub < bar {
                     scan::add_pruned(1);
                     continue;
                 }
@@ -132,20 +131,19 @@ impl<F: ScoreFn> TopKQuery<F> {
                 scan::add_memtable(blocks.block_live(b) as u64);
             }
             // The kernel scores every physical row (whole-column SIMD);
-            // tombstoned rows are dropped at the offer, exactly like the
+            // tombstoned rows are dropped before the offer, exactly like the
             // scalar path never sees them.
-            match blocks.block_dead(b) {
-                None => heap.offer_all(&scores),
-                Some(dead) => {
-                    for (off, &s) in scores.iter().enumerate() {
-                        if !dead[off] {
-                            heap.offer(s);
-                        }
-                    }
-                }
+            let dead = blocks.block_dead(b);
+            if dead.is_some() || floor.is_some() {
+                let mut off = 0;
+                scores.retain(|s| {
+                    off += 1;
+                    !dead.is_some_and(|d| d[off - 1]) && floor.is_none_or(|f| *s >= f)
+                });
             }
+            top.offer_all(&scores);
         }
-        self.state_from_ranked(heap.into_sorted_desc().into_iter(), store.len(), global)
+        self.state_from_ranked(&top.into_sorted_desc(), store.len(), global)
     }
 
     /// Algorithm 6 over the columnar mirror: a per-block threshold filter
@@ -206,24 +204,20 @@ impl<F: ScoreFn> RankQuery<Rect> for TopKQuery<F> {
     /// threshold; if the global count still falls short of `k`, top up with
     /// the best remaining local tuples.
     ///
-    /// On an indexed view with a cacheable score this is a truncated walk
-    /// over the peer's memoised score projection; with a non-cacheable
-    /// score it runs the blocked kernel scan over the store's columnar
-    /// mirror; otherwise a scalar scan + sort.
+    /// On an indexed view this is the blocked kernel scan over the store's
+    /// columnar mirror; a plain view scans, scores and sorts.
     fn compute_local_state(&self, view: &LocalView<'_>, global: &TopKState) -> TopKState {
-        if let Some(store) = view.store() {
-            if let Some(state) = store.with_ranked_at(&self.score, view.dispatch(), |it| {
-                self.state_from_ranked(it.map(|(_, s)| s), store.len(), global)
-            }) {
-                return state;
-            }
-        }
-        if let Some((store, dispatch)) = view.blocked_store() {
+        if let Some((store, dispatch)) = view.store() {
             return self.blocked_state(store, dispatch, global);
         }
-        let ranked = self.ranked(view.tuples());
-        scan::add_scanned(ranked.len() as u64);
-        self.state_from_ranked(ranked.iter().map(|(_, s)| *s), ranked.len(), global)
+        let mut scores: Vec<f64> = view
+            .tuples()
+            .iter()
+            .map(|t| self.score.score(&t.point))
+            .collect();
+        scores.sort_by(|a, b| b.total_cmp(a));
+        scan::add_scanned(scores.len() as u64);
+        self.state_from_ranked(&scores, scores.len(), global)
     }
 
     /// Algorithm 5, strengthened with the Algorithm 7 merge.
@@ -268,25 +262,14 @@ impl<F: ScoreFn> RankQuery<Rect> for TopKQuery<F> {
         TopKState { m, tau }
     }
 
-    /// Algorithm 6: every local tuple at or above the local threshold.
-    ///
-    /// Indexed path: walk the cached projection best-first and stop at the
-    /// first score below `τ` — same tuple set as the scan, different order
-    /// (the initiator re-sorts, and metrics count only lengths).
+    /// Algorithm 6: every local tuple at or above the local threshold, in
+    /// store order (the blocked filter on an indexed view, a scalar filter
+    /// on a plain one).
     fn compute_local_answer(&self, view: &LocalView<'_>, local: &TopKState) -> Vec<Tuple> {
         if local.m == 0 {
             return Vec::new();
         }
-        if let Some(store) = view.store() {
-            if let Some(answer) = store.with_ranked_at(&self.score, view.dispatch(), |it| {
-                it.take_while(|(_, s)| *s >= local.tau)
-                    .map(|(t, _)| t.clone())
-                    .collect::<Vec<Tuple>>()
-            }) {
-                return answer;
-            }
-        }
-        if let Some((store, dispatch)) = view.blocked_store() {
+        if let Some((store, dispatch)) = view.store() {
             return self.blocked_answer(store, dispatch, local);
         }
         scan::add_scanned(view.tuples().len() as u64);
@@ -532,7 +515,8 @@ pub fn centralized_topk<F: ScoreFn>(tuples: &[Tuple], score: &F, k: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ripple_geom::LinearScore;
+    use ripple_geom::{LinearScore, Norm, PeakScore};
+    use ripple_net::BLOCK_ROWS;
 
     fn t(id: u64, c: &[f64]) -> Tuple {
         Tuple::new(id, c.to_vec())
@@ -660,5 +644,76 @@ mod tests {
         let data = vec![t(1, &[0.9, 0.9]), t(2, &[0.1, 0.1]), t(3, &[0.5, 0.5])];
         let top = centralized_topk(&data, &score, 2);
         assert_eq!(top.iter().map(|t| t.id).collect::<Vec<_>>(), vec![1, 3]);
+    }
+
+    /// A store of `n` live 3-d rows built as `n + 9` inserts followed by 9
+    /// deletes of the oldest ids: once the store reaches a frozen run, the
+    /// deletes leave tombstones in it and the tail stays in the memtable.
+    fn churned_store(n: usize) -> PeerStore {
+        let mut s = PeerStore::new();
+        let mut state: u64 = 0x5DEE_CE66_D1CE_4E5B;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            // Coarse grid: plenty of exact score ties.
+            ((state >> 33) % 16) as f64 / 16.0
+        };
+        s.insert_batch((0..n as u64 + 9).map(|i| Tuple::new(i, vec![next(), next(), next()])));
+        assert_eq!(s.delete_batch(0..9), 9);
+        assert_eq!(s.len(), n);
+        s
+    }
+
+    /// Local state and local answer on an indexed view (the blocked kernel
+    /// path, both forced dispatch arms) equal those of a plain view over the
+    /// same tuples, at and around the block boundaries.
+    fn assert_indexed_matches_plain<F: ScoreFn + Clone>(score: F, label: &str) {
+        for n in [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 7] {
+            let store = churned_store(n);
+            if n + 9 >= BLOCK_ROWS {
+                let stats = store.ingest_stats();
+                assert_eq!(stats.tombstones, 9, "n={n}: tombstones in a frozen run");
+                assert!(stats.memtable_rows > 0, "n={n}: non-empty memtable");
+            }
+            let plain = LocalView::Plain(store.tuples());
+            for k in [1, 10, n + 5] {
+                let query = TopKQuery::new(score.clone(), k);
+                // Short of `k` (top-up) and holding `k` already (the
+                // threshold floor), at a threshold tied with stored scores.
+                let pivot = store
+                    .tuples()
+                    .get(n / 2)
+                    .map_or(0.3, |t| score.score(&t.point));
+                let globals = [
+                    TopKState::empty(),
+                    TopKState {
+                        m: k / 2,
+                        tau: pivot,
+                    },
+                    TopKState { m: k, tau: pivot },
+                ];
+                for global in globals {
+                    let state = RankQuery::<Rect>::compute_local_state(&query, &plain, &global);
+                    let answer = RankQuery::<Rect>::compute_local_answer(&query, &plain, &state);
+                    for dispatch in [KernelDispatch::ForcedScalar, KernelDispatch::ForcedSimd] {
+                        let indexed = LocalView::Indexed(&store, dispatch);
+                        let s = RankQuery::<Rect>::compute_local_state(&query, &indexed, &global);
+                        assert_eq!(s.m, state.m, "{label} n={n} k={k} {dispatch:?}: m");
+                        assert_eq!(
+                            s.tau.to_bits(),
+                            state.tau.to_bits(),
+                            "{label} n={n} k={k} {dispatch:?}: tau bits"
+                        );
+                        let a = RankQuery::<Rect>::compute_local_answer(&query, &indexed, &s);
+                        assert_eq!(a, answer, "{label} n={n} k={k} {dispatch:?}: answer");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_topk_equals_plain_at_block_boundaries() {
+        assert_indexed_matches_plain(LinearScore::new(vec![0.5, 0.3, 0.2]), "linear");
+        assert_indexed_matches_plain(PeakScore::new(vec![0.4, 0.6, 0.5], Norm::L2), "peak");
     }
 }

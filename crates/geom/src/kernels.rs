@@ -1085,27 +1085,35 @@ mod simd {
     }
 }
 
-/// A bounded min-heap retaining the `k` largest scores offered to it (by
+/// A selector retaining the `k` largest scores offered to it (by
 /// `f64::total_cmp`).
 ///
 /// Offering every row score and reading back [`into_sorted_desc`] yields the
 /// same *multiset of values* as sorting all scores descending and truncating
 /// to `k` — ties at the boundary contribute equal values either way — which
-/// is exactly what `TopKQuery::state_from_ranked` consumes. The heap's
-/// current minimum doubles as the block-pruning threshold: once the heap is
-/// full, a block whose upper bound is strictly below [`min`](TopScores::min)
-/// cannot contribute to the top-`k` multiset and is skipped in its entirety.
+/// is exactly what `TopKQuery::state_from_ranked` consumes. Scores arrive a
+/// block at a time: each batch is filtered against the current `k`-th best
+/// and the survivors are cut back to `k` with one linear-time selection, so
+/// a block costs one compare per row plus that selection.
+/// The `k`-th best doubles as the block-pruning threshold: once `k` scores
+/// are retained, a block whose upper bound is strictly below
+/// [`min`](TopScores::min) cannot contribute to the top-`k` multiset and is
+/// skipped in its entirety.
 ///
 /// [`into_sorted_desc`]: TopScores::into_sorted_desc
 #[derive(Clone, Debug)]
 pub struct TopScores {
     k: usize,
-    /// Min-heap by `total_cmp`: `heap[0]` is the smallest retained score.
-    heap: Vec<f64>,
+    /// The best scores so far, at most `k` between batches; once it holds
+    /// `k`, the last element is their minimum.
+    best: Vec<f64>,
 }
 
 impl TopScores {
-    /// An empty selector for the `k` best scores.
+    /// An empty selector for the `k` best scores. Nothing is allocated
+    /// until scores are offered, so a scan that prunes every block — or an
+    /// unbounded `k` (a "collect everything" top-k) — costs only what is
+    /// actually offered.
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -1113,80 +1121,50 @@ impl TopScores {
         assert!(k > 0, "k must be positive");
         Self {
             k,
-            heap: Vec::with_capacity(k),
+            best: Vec::new(),
         }
     }
 
     /// True once `k` scores are retained (pruning may start).
     #[inline]
     pub fn full(&self) -> bool {
-        self.heap.len() == self.k
+        self.best.len() == self.k
     }
 
-    /// The smallest retained score, when the heap is full.
+    /// The smallest retained score, when `k` are retained.
     #[inline]
     pub fn min(&self) -> Option<f64> {
         if self.full() {
-            self.heap.first().copied()
+            self.best.last().copied()
         } else {
             None
         }
     }
 
-    /// Offers one score.
-    #[inline]
-    pub fn offer(&mut self, s: f64) {
-        if self.heap.len() < self.k {
-            self.heap.push(s);
-            self.sift_up(self.heap.len() - 1);
-        } else if s.total_cmp(&self.heap[0]).is_gt() {
-            self.heap[0] = s;
-            self.sift_down(0);
-        }
-    }
-
-    /// Offers every score of a batch.
+    /// Offers a batch of scores. A score equal to the current `k`-th best
+    /// is dropped: keeping it would not change the retained values.
     pub fn offer_all(&mut self, scores: &[f64]) {
-        for &s in scores {
-            self.offer(s);
+        let before = self.best.len();
+        match self.min() {
+            Some(floor) => self
+                .best
+                .extend(scores.iter().filter(|s| s.total_cmp(&floor).is_gt())),
+            None => self.best.extend_from_slice(scores),
+        }
+        let len = self.best.len();
+        if len >= self.k && len != before {
+            // Descending order: the `k` best land in front, the `k`-th best
+            // (their minimum) at index `k - 1`.
+            self.best
+                .select_nth_unstable_by(self.k - 1, |a, b| b.total_cmp(a));
+            self.best.truncate(self.k);
         }
     }
 
     /// The retained scores, best first.
     pub fn into_sorted_desc(mut self) -> Vec<f64> {
-        self.heap.sort_by(|a, b| b.total_cmp(a));
-        self.heap
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].total_cmp(&self.heap[parent]).is_lt() {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < n && self.heap[l].total_cmp(&self.heap[smallest]).is_lt() {
-                smallest = l;
-            }
-            if r < n && self.heap[r].total_cmp(&self.heap[smallest]).is_lt() {
-                smallest = r;
-            }
-            if smallest == i {
-                break;
-            }
-            self.heap.swap(i, smallest);
-            i = smallest;
-        }
+        self.best.sort_unstable_by(|a, b| b.total_cmp(a));
+        self.best
     }
 }
 
@@ -1530,17 +1508,23 @@ mod tests {
         ] {
             let mut g = Gen((n * 31 + k) as u64);
             let scores: Vec<f64> = (0..n).map(|_| g.coord()).collect();
-            let mut heap = TopScores::new(k);
-            heap.offer_all(&scores);
-            let got = heap.into_sorted_desc();
             let mut want = scores.clone();
             want.sort_by(|a, b| b.total_cmp(a));
             want.truncate(k);
-            assert_eq!(
-                got.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                "n={n} k={k}"
-            );
+            // One batch, and batches of 7 (the threshold filter between
+            // batches must not change the retained values).
+            for chunk in [n.max(1), 7] {
+                let mut heap = TopScores::new(k);
+                for batch in scores.chunks(chunk) {
+                    heap.offer_all(batch);
+                }
+                let got = heap.into_sorted_desc();
+                assert_eq!(
+                    got.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    "n={n} k={k} chunk={chunk}"
+                );
+            }
         }
     }
 
@@ -1558,11 +1542,22 @@ mod tests {
         assert_eq!(heap.min(), None, "not full: nothing may be pruned");
         heap.offer_all(&[0.3, 0.9]);
         assert!(!heap.full());
-        heap.offer(0.1);
+        heap.offer_all(&[0.1]);
         assert!(heap.full());
         assert_eq!(heap.min(), Some(0.1));
-        heap.offer(0.2);
+        heap.offer_all(&[0.2]);
         assert_eq!(heap.min(), Some(0.2));
+        heap.offer_all(&[0.05, 0.95, 0.2, 0.6]);
+        assert_eq!(heap.min(), Some(0.6));
+        assert_eq!(heap.into_sorted_desc(), vec![0.95, 0.9, 0.6]);
+    }
+
+    #[test]
+    fn top_scores_accepts_unbounded_k() {
+        let mut heap = TopScores::new(usize::MAX);
+        heap.offer_all(&[0.2, 0.7, 0.1]);
+        assert_eq!(heap.min(), None, "never full: nothing may be pruned");
+        assert_eq!(heap.into_sorted_desc(), vec![0.7, 0.2, 0.1]);
     }
 
     #[test]

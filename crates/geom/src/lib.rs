@@ -45,5 +45,5 @@ pub use kernels::KernelDispatch;
 pub use norm::Norm;
 pub use point::{Point, Tuple, TupleId};
 pub use rect::Rect;
-pub use score::{AdHoc, LinearScore, PeakScore, ScoreFn};
+pub use score::{LinearScore, PeakScore, ScoreFn};
 pub use sum::neumaier;

@@ -18,10 +18,10 @@ use std::hash::{Hash, Hasher};
 /// Computes a stable cache key from a type tag and the parameter bits of a
 /// scoring function. Two score functions with equal tags and equal parameter
 /// bit patterns rank every tuple set identically, so they may share a cached
-/// score-sorted projection.
+/// query result.
 fn score_cache_key(type_tag: u64, params: impl IntoIterator<Item = u64>) -> u64 {
     // SipHash with fixed keys: deterministic within a process, which is all
-    // a per-process projection cache needs.
+    // a per-process result cache needs.
     let mut h = std::collections::hash_map::DefaultHasher::new();
     type_tag.hash(&mut h);
     for p in params {
@@ -51,12 +51,13 @@ pub trait ScoreFn: Send + Sync {
         None
     }
 
-    /// A stable identity key for per-peer projection caching, when available.
+    /// A stable identity key for the serving layer's result cache, when
+    /// available.
     ///
     /// Two score functions returning the same `Some(key)` must induce the
     /// same ranking on every tuple (in practice: identical parameters). A
-    /// `None` (the default) opts out of caching — the query still runs, it
-    /// just scans instead of reusing a cached projection.
+    /// `None` (the default) opts out of caching — the query still runs, its
+    /// answer is just never reused.
     fn cache_key(&self) -> Option<u64> {
         None
     }
@@ -247,40 +248,6 @@ impl ScoreFn for PeakScore {
     }
 }
 
-/// Workload wrapper modelling *ad-hoc, one-shot* scoring functions: the
-/// wrapped score with projection caching opted out (`cache_key` = `None`).
-///
-/// A peer answering an `AdHoc` query cannot amortise a score-sorted
-/// projection across repeats, so the local scan runs through the blocked
-/// kernel paths instead — the workload the columnar layer exists for. The
-/// kernel equivalence gates use it to pin the blocked scan paths against
-/// the scalar reference.
-pub struct AdHoc<F>(pub F);
-
-impl<F: ScoreFn> ScoreFn for AdHoc<F> {
-    fn score(&self, p: &Point) -> f64 {
-        self.0.score(p)
-    }
-
-    fn upper_bound(&self, r: &Rect) -> f64 {
-        self.0.upper_bound(r)
-    }
-
-    fn peak_point(&self) -> Option<Point> {
-        self.0.peak_point()
-    }
-
-    // cache_key stays the default `None`: that is the whole point.
-
-    fn score_block(&self, cols: &[&[f64]], out: &mut Vec<f64>, dispatch: KernelDispatch) {
-        self.0.score_block(cols, out, dispatch);
-    }
-
-    fn upper_bound_corners(&self, lo: &[f64], hi: &[f64]) -> f64 {
-        self.0.upper_bound_corners(lo, hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,25 +368,5 @@ mod tests {
         assert_eq!(out, vec![0.25, 0.5, 0.125]);
         let ub = Product.upper_bound_corners(&[0.25, 0.125], &[1.0, 2.0]);
         assert_eq!(ub, 2.0);
-    }
-
-    #[test]
-    fn adhoc_disables_caching_only() {
-        let f = AdHoc(LinearScore::new(vec![1.0, 2.0]));
-        assert!(f.cache_key().is_none(), "ad-hoc scores opt out of caching");
-        let p = Point::new(vec![0.5, 0.25]);
-        assert_eq!(f.score(&p).to_bits(), f.0.score(&p).to_bits());
-        let r = Rect::new(vec![0.0, 0.0], vec![0.5, 0.5]);
-        assert_eq!(f.upper_bound(&r).to_bits(), f.0.upper_bound(&r).to_bits());
-        assert_eq!(f.peak_point(), f.0.peak_point());
-        let cols: [&[f64]; 2] = [&[0.5, 0.1], &[0.25, 0.9]];
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        f.score_block(&cols, &mut a, KernelDispatch::Auto);
-        f.0.score_block(&cols, &mut b, KernelDispatch::Auto);
-        assert_eq!(a, b);
-        assert_eq!(
-            f.upper_bound_corners(&[0.0, 0.0], &[0.5, 0.5]).to_bits(),
-            f.0.upper_bound_corners(&[0.0, 0.0], &[0.5, 0.5]).to_bits()
-        );
     }
 }

@@ -106,8 +106,8 @@ pub struct QueryMetrics {
     /// [`tuples_scanned`](QueryMetrics::tuples_scanned): where a row was
     /// read is write-path provenance, never an outcome.
     pub memtable_hits: u64,
-    /// Tombstone-masked rows skipped by this query's scans and projection
-    /// walks. Excluded from `PartialEq`.
+    /// Tombstone-masked rows skipped by this query's scans. Excluded from
+    /// `PartialEq`.
     pub tombstones_masked: u64,
     /// Store compaction passes that ran inside this query's scan brackets
     /// (mutating harnesses can bracket ingest batches; pure queries report

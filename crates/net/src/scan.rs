@@ -37,7 +37,7 @@ pub struct ScanCounts {
     /// Rows read from the store's memtable overlay (the unfrozen tail)
     /// rather than from a frozen run.
     pub memtable_hits: u64,
-    /// Tombstone-masked rows skipped during scans and projection walks.
+    /// Tombstone-masked rows skipped during scans.
     pub tombstones_masked: u64,
     /// Compaction passes that rewrote at least one run.
     pub compactions_run: u64,
@@ -87,14 +87,14 @@ pub fn add_pruned(n: u64) {
 }
 
 /// Records `n` rows read from the memtable overlay (the store's unfrozen
-/// tail) by a scan or projection walk. No-op outside a bracket.
+/// tail) by a scan. No-op outside a bracket.
 #[inline]
 pub fn add_memtable(n: u64) {
     add(|c| c.memtable_hits += n);
 }
 
-/// Records `n` tombstone-masked rows skipped by a scan or projection walk.
-/// No-op outside a bracket.
+/// Records `n` tombstone-masked rows skipped by a scan. No-op outside a
+/// bracket.
 #[inline]
 pub fn add_masked(n: u64) {
     add(|c| c.tombstones_masked += n);

@@ -11,9 +11,9 @@
 //!
 //! * **Frozen runs** ([`RunData`]): immutable columnar runs of at most
 //!   [`BLOCK_ROWS`] rows each, cut off the front of the vector as it grows.
-//!   A run is built once and shared (`Arc`) with every snapshot and
-//!   projection that references it; deletions never edit a run — they set
-//!   bits in a copy-on-write **tombstone mask** layered on top.
+//!   A run is built once and shared (`Arc`) with every snapshot that
+//!   references it; deletions never edit a run — they set bits in a
+//!   copy-on-write **tombstone mask** layered on top.
 //! * **The memtable**: the unfrozen tail of the vector (fewer than
 //!   [`BLOCK_ROWS`] recent inserts). Memtable mutations are plain vector
 //!   edits; once the tail reaches a full block it freezes into a new run.
@@ -23,52 +23,37 @@
 //!   no-op*: it does not advance the generation, because the tuple set is
 //!   unchanged — equivalence suites assert it is unobservable.
 //!
-//! The payoff is incremental invalidation. The caches on top —
-//! score-sorted projections ([`PeerStore::with_ranked`]), the incremental
-//! local skyline ([`PeerStore::skyline`]), and the columnar [`BlockSet`]
-//! snapshot ([`PeerStore::blocks`]) — are keyed per run: after an insert,
-//! only the memtable part rebuilds (O(memtable), not O(store)); after a
-//! delete, masks update in place and nothing rescores. The `generation`
-//! counter still advances on every *logical* mutation, so epoch handshakes,
-//! result caches, certificates and replica keying upstream keep their exact
-//! semantics; a separate `runs_version` tracks *physical* reorganisations
-//! (freeze, compaction), which change no observable result.
+//! The payoff is incremental invalidation. The two caches on top — the
+//! columnar [`BlockSet`] snapshot ([`PeerStore::blocks`]) that every
+//! blocked query kernel scans, and the incremental local skyline
+//! ([`PeerStore::skyline`]) — never rebuild the frozen part: after an
+//! insert, a fresh snapshot references the existing runs and lays out only
+//! the memtable (O(memtable), not O(store)); after a delete, masks update
+//! in place. The `generation` counter still advances on every *logical*
+//! mutation, so epoch handshakes, result caches, certificates and replica
+//! keying upstream keep their exact semantics.
 //!
 //! Queries read a merged view: kernel scans over frozen runs (corner-bound
-//! pruning and SIMD arms intact) ∪ a scalar memtable scan, with
+//! pruning and SIMD arms intact) ∪ the memtable blocks, with
 //! tombstone-masked rows filtered out of every emission. All caches remain
 //! *behaviour-invisible*: they reproduce byte-for-byte what a scan of the
 //! logical vector computes (the skyline in the canonical ascending
 //! (coordinate-sum, id) order with min-id duplicate representatives;
-//! ranked walks with the store-order tie-break of a stable descending
-//! sort; blocked scans bit-identical to scalar ones by the kernel
-//! contract). Equivalence is property-tested in `ripple-core`, including
-//! against a `legacy`-mode twin that rebuilds wholesale per mutation.
-//!
-//! [`cache_key`]: ripple_geom::ScoreFn::cache_key
+//! blocked scans bit-identical to scalar ones by the kernel contract).
+//! Equivalence is property-tested in `ripple-core`, including against a
+//! `legacy`-mode twin that rebuilds wholesale per mutation.
 
 use crate::block::{BlockEntry, BlockSet, RunData, BLOCK_ROWS};
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::scan;
-use ripple_geom::{dominance, kernels, KernelDispatch, Point, ScoreFn, Tuple, TupleId};
-use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use ripple_geom::{dominance, kernels, KernelDispatch, Point, Tuple, TupleId};
+use std::collections::HashSet;
 use std::sync::{Arc, RwLock};
-
-/// Retain at most this many score projections per peer. Stale entries are
-/// dropped first; if a workload really uses more *live* scoring functions
-/// than this per peer, the least-recently-hit live projection is evicted —
-/// correctness never depends on a cache hit.
-const MAX_PROJECTIONS: usize = 16;
 
 /// One frozen run of the store: an immutable columnar block of rows plus
 /// the mutable deletion state layered over it.
 #[derive(Clone, Debug)]
 struct Run {
-    /// Stable identity, never reused — projections key per-run score
-    /// orders by it, so an unchanged run keeps its sorted entries across
-    /// arbitrary mutations elsewhere in the store.
-    id: u64,
     data: Arc<RunData>,
     /// Copy-on-write tombstone mask: `Some` once a row of this run was
     /// deleted. Shared with in-flight [`BlockSet`] snapshots; a deletion
@@ -78,49 +63,9 @@ struct Run {
     live: usize,
 }
 
-/// A memoised descending score order of the peer's tuples, kept as one
-/// sorted entry list **per frozen run** plus one for the memtable tail.
-/// Run entries are score-sorted over *all* physical rows of the run (the
-/// merge skips masked rows at read time), so deletions never rescore; the
-/// tail entries rebuild whenever the store's generation moves — O(memtable)
-/// work per mutation instead of O(store).
-#[derive(Debug)]
-struct Projection {
-    /// Logical timestamp of the most recent hit (from [`IndexCache::clock`]),
-    /// driving least-recently-hit eviction. Atomic so the shared-read hit
-    /// path can bump it without taking the write lock.
-    last_hit: AtomicU64,
-    /// [`PeerStore::runs_version`] the run entries reflect.
-    runs_stamp: u64,
-    /// Store generation the tail entries were computed at.
-    tail_built_at: u64,
-    /// `(score, row index within the run)`, best first; ties keep row
-    /// order (stable sort). Keyed by [`Run::id`].
-    runs: FxHashMap<u64, Arc<Vec<(f64, u32)>>>,
-    /// `(score, offset within the memtable tail)`, best first, ties keep
-    /// store order.
-    tail: Arc<Vec<(f64, u32)>>,
-}
-
-impl Clone for Projection {
-    fn clone(&self) -> Self {
-        Self {
-            last_hit: AtomicU64::new(self.last_hit.load(Ordering::Relaxed)),
-            runs_stamp: self.runs_stamp,
-            tail_built_at: self.tail_built_at,
-            runs: self.runs.clone(),
-            tail: self.tail.clone(),
-        }
-    }
-}
-
 /// The lazily-populated caches of one peer store.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct IndexCache {
-    /// Score-sorted projections keyed by [`ScoreFn::cache_key`].
-    projections: HashMap<u64, Projection>,
-    /// Monotone logical clock stamping projection hits (LRU order).
-    clock: AtomicU64,
     /// The local skyline in canonical order, as `(coordinate sum, tuple)`.
     /// `None` until first requested or after an invalidating removal.
     skyline: Option<Vec<(f64, Tuple)>>,
@@ -130,12 +75,6 @@ struct IndexCache {
 }
 
 impl IndexCache {
-    /// Stamps `proj` as hit now. Callable under the shared read lock.
-    fn touch(&self, proj: &Projection) {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        proj.last_hit.store(now, Ordering::Relaxed);
-    }
-
     /// The columnar snapshot, only if it reflects `generation` — rebuild
     /// paths use this so they *reuse* a fresh snapshot but never build one.
     fn fresh_blocks(&self, generation: u64) -> Option<Arc<BlockSet>> {
@@ -143,17 +82,6 @@ impl IndexCache {
             .as_ref()
             .filter(|b| b.built_at() == generation)
             .map(Arc::clone)
-    }
-}
-
-impl Clone for IndexCache {
-    fn clone(&self) -> Self {
-        Self {
-            projections: self.projections.clone(),
-            clock: AtomicU64::new(self.clock.load(Ordering::Relaxed)),
-            skyline: self.skyline.clone(),
-            blocks: self.blocks.clone(),
-        }
     }
 }
 
@@ -219,7 +147,7 @@ impl IngestStats {
 /// The caches sit behind a per-peer [`RwLock`] (not a `RefCell`) because
 /// both the benchmark harness and the intra-query parallel executor hit a
 /// shared network from several threads. The workload is read-mostly —
-/// once a projection or skyline is built at the current generation, every
+/// once a snapshot or skyline is built at the current generation, every
 /// later query only *reads* it — so cache hits take the shared read path
 /// and run concurrently; only a rebuild after a mutation (or a first
 /// build) takes the exclusive write path, with a double-checked generation
@@ -238,11 +166,6 @@ pub struct PeerStore {
     runs: Vec<Run>,
     /// Length of the run-mirrored prefix of `tuples`.
     frozen_live: usize,
-    /// Bumped whenever the run *layout* changes (freeze, compaction,
-    /// drain); per-run projection entries validate against it.
-    runs_version: u64,
-    /// Next [`Run::id`] to assign (never reused).
-    next_run_id: u64,
     /// When set, freezing is disabled: the whole store stays in the
     /// memtable and every mutation invalidates everything — the faithful
     /// rebuild-per-insert baseline, through identical code paths.
@@ -261,8 +184,6 @@ impl Clone for PeerStore {
             generation: self.generation,
             runs: self.runs.clone(),
             frozen_live: self.frozen_live,
-            runs_version: self.runs_version,
-            next_run_id: self.next_run_id,
             legacy: self.legacy,
             id_counts: self.id_counts.clone(),
             ingest: self.ingest,
@@ -339,7 +260,7 @@ impl PeerStore {
 
     /// Freezes full blocks off the front of the memtable into new runs.
     /// Purely physical: no generation bump (the triggering mutation already
-    /// bumped it), but the run layout moves, so `runs_version` advances.
+    /// bumped it).
     fn maybe_freeze(&mut self) {
         if self.legacy {
             return;
@@ -349,14 +270,11 @@ impl PeerStore {
             let rows = self.tuples[start..start + BLOCK_ROWS].to_vec();
             let data = Arc::new(RunData::build(rows, KernelDispatch::Auto));
             self.runs.push(Run {
-                id: self.next_run_id,
                 data,
                 dead: None,
                 live: BLOCK_ROWS,
             });
-            self.next_run_id += 1;
             self.frozen_live += BLOCK_ROWS;
-            self.runs_version += 1;
             self.ingest.rows_frozen += BLOCK_ROWS as u64;
             scan::add_rewritten(BLOCK_ROWS as u64);
         }
@@ -527,8 +445,7 @@ impl PeerStore {
     }
 
     /// Rewrites every tombstone-carrying run into dense mask-free runs,
-    /// leaving clean runs untouched (their `Arc`s survive, as do their
-    /// projection entries). Returns the number of rows rewritten.
+    /// leaving clean runs untouched (their `Arc`s survive). Returns the number of rows rewritten.
     ///
     /// Compaction is a **logical no-op**: the tuple sequence is unchanged,
     /// the generation does not move, and every query answer — answers,
@@ -544,14 +461,9 @@ impl PeerStore {
         for run in old {
             match run.dead {
                 None => {
-                    // A clean run keeps its identity; pending rewritten
+                    // A clean run keeps its allocation; pending rewritten
                     // rows flush first to preserve the row order.
-                    Self::flush_pending(
-                        &mut pending,
-                        &mut self.runs,
-                        &mut self.next_run_id,
-                        &mut rewritten,
-                    );
+                    Self::flush_pending(&mut pending, &mut self.runs, &mut rewritten);
                     self.runs.push(run);
                 }
                 Some(ref dead) => {
@@ -566,13 +478,7 @@ impl PeerStore {
                 }
             }
         }
-        Self::flush_pending(
-            &mut pending,
-            &mut self.runs,
-            &mut self.next_run_id,
-            &mut rewritten,
-        );
-        self.runs_version += 1;
+        Self::flush_pending(&mut pending, &mut self.runs, &mut rewritten);
         self.ingest.rows_compacted += rewritten;
         self.ingest.compactions_run += 1;
         scan::add_compactions(1);
@@ -586,22 +492,15 @@ impl PeerStore {
 
     /// Builds dense runs out of the accumulated live rows of rewritten
     /// runs (at most one trailing partial run per flush).
-    fn flush_pending(
-        pending: &mut Vec<Tuple>,
-        runs: &mut Vec<Run>,
-        next_run_id: &mut u64,
-        rewritten: &mut u64,
-    ) {
+    fn flush_pending(pending: &mut Vec<Tuple>, runs: &mut Vec<Run>, rewritten: &mut u64) {
         for chunk in pending.chunks(BLOCK_ROWS) {
             let data = Arc::new(RunData::build(chunk.to_vec(), KernelDispatch::Auto));
             *rewritten += chunk.len() as u64;
             runs.push(Run {
-                id: *next_run_id,
                 data,
                 dead: None,
                 live: chunk.len(),
             });
-            *next_run_id += 1;
         }
         pending.clear();
     }
@@ -613,11 +512,9 @@ impl PeerStore {
         self.ingest.rows_deleted += self.tuples.len() as u64;
         self.runs.clear();
         self.frozen_live = 0;
-        self.runs_version += 1;
         self.id_counts.clear();
         let cache = self.cache.get_mut().expect("peer cache poisoned");
         cache.skyline = Some(Vec::new());
-        cache.projections.clear();
         cache.blocks = None;
         std::mem::take(&mut self.tuples)
     }
@@ -782,277 +679,24 @@ impl PeerStore {
     pub fn contains_id(&self, id: TupleId) -> bool {
         self.id_counts.contains_key(&id)
     }
-
-    /// Visits the stored tuples in *descending score order* under `score`,
-    /// handing the closure a lazy `(tuple, score)` iterator (ties keep store
-    /// order, exactly like a stable descending sort over [`tuples`]).
-    ///
-    /// Returns `None` when `score` exposes no [`ScoreFn::cache_key`] — the
-    /// caller falls back to a scan. The projection is memoised per key as
-    /// one sorted entry list per frozen run plus one for the memtable, so
-    /// after a mutation only the affected parts rescore (O(memtable) per
-    /// insert batch, nothing per delete); the walk itself is a lazy k-way
-    /// merge that skips tombstoned rows. A fresh projection is walked under
-    /// a shared read lock, so the many concurrent visits of one parallel
-    /// query never serialise on a hit.
-    ///
-    /// The closure must not call back into cache-using methods of the same
-    /// store (`skyline`, `with_ranked`).
-    ///
-    /// [`tuples`]: PeerStore::tuples
-    pub fn with_ranked<R>(
-        &self,
-        score: &dyn ScoreFn,
-        f: impl FnOnce(&mut dyn Iterator<Item = (&Tuple, f64)>) -> R,
-    ) -> Option<R> {
-        self.with_ranked_at(score, KernelDispatch::Auto, f)
-    }
-
-    /// [`with_ranked`](PeerStore::with_ranked) with an explicit kernel
-    /// dispatch arm, accepted for symmetry with the other `_at` entry
-    /// points: projection builds are scalar scoring passes, which the
-    /// kernel contract guarantees bit-identical to every dispatch arm, so
-    /// the shared cache never depends on who built it.
-    pub fn with_ranked_at<R>(
-        &self,
-        score: &dyn ScoreFn,
-        dispatch: KernelDispatch,
-        f: impl FnOnce(&mut dyn Iterator<Item = (&Tuple, f64)>) -> R,
-    ) -> Option<R> {
-        let _ = dispatch;
-        let key = score.cache_key()?;
-        debug_assert!(self.tuples.len() < u32::MAX as usize);
-        {
-            let cache = self.cache.read().expect("peer cache poisoned");
-            if let Some(proj) = cache.projections.get(&key) {
-                if proj.runs_stamp == self.runs_version && proj.tail_built_at == self.generation {
-                    cache.touch(proj);
-                    let mut it = self.ranked_merge(proj);
-                    return Some(f(&mut it));
-                }
-            }
-        }
-        let mut guard = self.cache.write().expect("peer cache poisoned");
-        let cache = &mut *guard;
-        // Double-check under the write lock: another thread may have
-        // refreshed the projection while we waited for exclusivity.
-        let fresh = matches!(
-            cache.projections.get(&key),
-            Some(p) if p.runs_stamp == self.runs_version && p.tail_built_at == self.generation
-        );
-        if !fresh {
-            if !cache.projections.contains_key(&key) && cache.projections.len() >= MAX_PROJECTIONS {
-                let (generation, runs_version) = (self.generation, self.runs_version);
-                cache
-                    .projections
-                    .retain(|_, p| p.runs_stamp == runs_version && p.tail_built_at == generation);
-                while cache.projections.len() >= MAX_PROJECTIONS {
-                    // Every survivor is live: evict the least-recently-hit
-                    // one (ties broken by key for determinism).
-                    let lru = cache
-                        .projections
-                        .iter()
-                        .min_by_key(|(k, p)| (p.last_hit.load(Ordering::Relaxed), **k))
-                        .map(|(k, _)| *k)
-                        .expect("len >= MAX_PROJECTIONS > 0");
-                    cache.projections.remove(&lru);
-                }
-            }
-            let proj = cache.projections.entry(key).or_insert_with(|| Projection {
-                last_hit: AtomicU64::new(0),
-                runs_stamp: u64::MAX,
-                tail_built_at: u64::MAX,
-                runs: FxHashMap::default(),
-                tail: Arc::new(Vec::new()),
-            });
-            self.refresh_projection(proj, score);
-        }
-        let proj = &cache.projections[&key];
-        cache.touch(proj);
-        let mut it = self.ranked_merge(proj);
-        Some(f(&mut it))
-    }
-
-    /// Brings a projection up to date: keeps entry lists of unchanged runs
-    /// (the common case — they dominate the store), scores and sorts any
-    /// new run, and rebuilds the memtable entries. Scoring is the plain
-    /// scalar pass — bit-identical to every kernel arm by contract. Run
-    /// entries cover *all* physical rows (masks are applied by the merge),
-    /// so deletions never rescore anything.
-    fn refresh_projection(&self, proj: &mut Projection, score: &dyn ScoreFn) {
-        let live_ids: FxHashSet<u64> = self.runs.iter().map(|r| r.id).collect();
-        proj.runs.retain(|id, _| live_ids.contains(id));
-        for run in &self.runs {
-            proj.runs
-                .entry(run.id)
-                .or_insert_with(|| Arc::new(Self::score_entries(run.data.tuples(), score)));
-        }
-        proj.tail = Arc::new(Self::score_entries(&self.tuples[self.frozen_live..], score));
-        proj.runs_stamp = self.runs_version;
-        proj.tail_built_at = self.generation;
-    }
-
-    /// Scores `rows` and sorts the entries best-first; ties keep row order
-    /// (stable descending sort).
-    fn score_entries(rows: &[Tuple], score: &dyn ScoreFn) -> Vec<(f64, u32)> {
-        scan::add_scanned(rows.len() as u64);
-        let mut entries: Vec<(f64, u32)> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (score.score(&t.point), i as u32))
-            .collect();
-        entries.sort_by(|a, b| b.0.total_cmp(&a.0));
-        entries.shrink_to_fit();
-        entries
-    }
-
-    /// The lazy k-way merge over a fresh projection's per-run and memtable
-    /// entry lists. Sources are ordered by store position (runs in order,
-    /// memtable last) and the heap breaks score ties toward the earliest
-    /// source; entries within a source already break ties by position — so
-    /// the merged sequence is *exactly* the stable descending sort of the
-    /// logical tuple vector.
-    fn ranked_merge<'a>(&'a self, proj: &'a Projection) -> RankedMerge<'a> {
-        let mut sources = Vec::with_capacity(self.runs.len() + 1);
-        for run in &self.runs {
-            if run.live == 0 {
-                continue;
-            }
-            let entries = proj
-                .runs
-                .get(&run.id)
-                .expect("fresh projection covers every run");
-            sources.push(RankedCursor {
-                entries,
-                pos: 0,
-                dead: run.dead.as_ref().map(|d| d.as_slice()),
-                rows: run.data.tuples(),
-                memtable: false,
-            });
-        }
-        sources.push(RankedCursor {
-            entries: &proj.tail,
-            pos: 0,
-            dead: None,
-            rows: &self.tuples[self.frozen_live..],
-            memtable: true,
-        });
-        let mut heap = BinaryHeap::with_capacity(sources.len());
-        for (src, cur) in sources.iter_mut().enumerate() {
-            if let Some(score) = cur.settle() {
-                heap.push(Head { score, src });
-            }
-        }
-        RankedMerge { sources, heap }
-    }
-}
-
-/// One source of a [`RankedMerge`]: a sorted entry list over one run (or
-/// the memtable tail) plus the tombstone mask to skip by.
-struct RankedCursor<'a> {
-    entries: &'a [(f64, u32)],
-    pos: usize,
-    dead: Option<&'a [bool]>,
-    rows: &'a [Tuple],
-    memtable: bool,
-}
-
-impl RankedCursor<'_> {
-    /// Advances past tombstoned entries; returns the score now at the
-    /// cursor, or `None` when exhausted.
-    fn settle(&mut self) -> Option<f64> {
-        while let Some(&(score, i)) = self.entries.get(self.pos) {
-            if self.dead.is_some_and(|d| d[i as usize]) {
-                scan::add_masked(1);
-                self.pos += 1;
-                continue;
-            }
-            return Some(score);
-        }
-        None
-    }
-}
-
-/// Heap head of the ranked merge: max-orders by score (`total_cmp`), ties
-/// toward the smaller source index — sources are store-ordered, so this
-/// reproduces the store-order tie-break of a stable descending sort.
-struct Head {
-    score: f64,
-    src: usize,
-}
-
-impl PartialEq for Head {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for Head {}
-
-impl PartialOrd for Head {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Head {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.score
-            .total_cmp(&other.score)
-            .then_with(|| other.src.cmp(&self.src))
-    }
-}
-
-/// Lazy descending-score walk over a store's merged (runs ∪ memtable)
-/// view; see [`PeerStore::with_ranked`].
-struct RankedMerge<'a> {
-    sources: Vec<RankedCursor<'a>>,
-    heap: BinaryHeap<Head>,
-}
-
-impl<'a> Iterator for RankedMerge<'a> {
-    type Item = (&'a Tuple, f64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let head = self.heap.pop()?;
-        let cur = &mut self.sources[head.src];
-        let (score, i) = cur.entries[cur.pos];
-        debug_assert_eq!(score.to_bits(), head.score.to_bits());
-        let tuple = &cur.rows[i as usize];
-        if cur.memtable {
-            scan::add_memtable(1);
-        }
-        cur.pos += 1;
-        if let Some(next_score) = cur.settle() {
-            self.heap.push(Head {
-                score: next_score,
-                src: head.src,
-            });
-        }
-        Some((tuple, score))
-    }
 }
 
 /// A peer's tuples as seen by query-side code.
 ///
 /// `Plain` is the scan view every substrate supports; `Indexed` additionally
-/// exposes the store's local index layer *and* its columnar block mirror,
-/// which query implementations use as fast paths when present;
-/// `IndexedScalar` keeps the scalar index layer but withholds the blocks
-/// (the executor's `without_blocks` A/B mode). All views describe the same
-/// tuples — query results and all hop/message metrics are identical either
-/// way (only wall-clock time differs), which is what keeps the indexed
-/// simulation an honest reproduction of the paper's scan-based peers.
+/// exposes the store's local index layer and its columnar block mirror,
+/// which query implementations scan with the blocked kernels. Both views
+/// describe the same tuples — query results and all hop/message metrics
+/// are identical either way (only wall-clock time differs), which is what
+/// keeps the indexed simulation an honest reproduction of the paper's
+/// scan-based peers.
 #[derive(Clone, Copy)]
 pub enum LocalView<'a> {
     /// A bare tuple slice.
     Plain(&'a [Tuple]),
-    /// A full peer store with its caches, blocked scan paths allowed,
-    /// running the given kernel dispatch arm.
+    /// A full peer store with its caches, scanned on the given kernel
+    /// dispatch arm.
     Indexed(&'a PeerStore, KernelDispatch),
-    /// A full peer store with its caches, blocked scan paths disallowed —
-    /// query code must not call [`PeerStore::blocks`] through this view.
-    IndexedScalar(&'a PeerStore),
 }
 
 impl<'a> LocalView<'a> {
@@ -1060,34 +704,16 @@ impl<'a> LocalView<'a> {
     pub fn tuples(&self) -> &'a [Tuple] {
         match self {
             LocalView::Plain(t) => t,
-            LocalView::Indexed(s, _) | LocalView::IndexedScalar(s) => s.tuples(),
+            LocalView::Indexed(s, _) => s.tuples(),
         }
     }
 
-    /// The store behind an indexed view (either flavour), when present.
-    pub fn store(&self) -> Option<&'a PeerStore> {
+    /// The store behind an indexed view and the kernel dispatch arm its
+    /// scans must run, when present.
+    pub fn store(&self) -> Option<(&'a PeerStore, KernelDispatch)> {
         match self {
             LocalView::Plain(_) => None,
-            LocalView::Indexed(s, _) | LocalView::IndexedScalar(s) => Some(s),
-        }
-    }
-
-    /// The store behind a *blocked* indexed view and the kernel dispatch
-    /// arm its scans must run — `Some` only when the columnar mirror may be
-    /// used (i.e. not downgraded to scalar).
-    pub fn blocked_store(&self) -> Option<(&'a PeerStore, KernelDispatch)> {
-        match self {
             LocalView::Indexed(s, d) => Some((s, *d)),
-            LocalView::Plain(_) | LocalView::IndexedScalar(_) => None,
-        }
-    }
-
-    /// The kernel dispatch arm of this view (`Auto` for non-blocked views,
-    /// whose scans go through the dispatch-free scalar entry points).
-    pub fn dispatch(&self) -> KernelDispatch {
-        match self {
-            LocalView::Indexed(_, d) => *d,
-            LocalView::Plain(_) | LocalView::IndexedScalar(_) => KernelDispatch::Auto,
         }
     }
 }
@@ -1096,7 +722,7 @@ impl<'a> LocalView<'a> {
 mod tests {
     use super::*;
     use crate::scan::ScanCounts;
-    use ripple_geom::LinearScore;
+    use ripple_geom::{LinearScore, ScoreFn};
 
     fn t(id: u64, x: f64) -> Tuple {
         Tuple::new(id, vec![x, x])
@@ -1104,6 +730,27 @@ mod tests {
 
     fn t2(id: u64, a: f64, b: f64) -> Tuple {
         Tuple::new(id, vec![a, b])
+    }
+
+    /// The best `k` live rows of the store's columnar snapshot under
+    /// `score`, as `(id, score bits)` stably sorted best first — the read
+    /// every indexed top-k performs.
+    fn blocked_topk(s: &PeerStore, score: &LinearScore, k: usize) -> Vec<(u64, u64)> {
+        let blocks = s.blocks();
+        let (mut cols, mut scores, mut rows) = (Vec::new(), Vec::new(), Vec::new());
+        for b in 0..blocks.num_blocks() {
+            blocks.block_cols(b, &mut cols);
+            score.score_block(&cols, &mut scores, KernelDispatch::Auto);
+            let dead = blocks.block_dead(b);
+            for (off, t) in blocks.block_tuples(b).iter().enumerate() {
+                if !dead.is_some_and(|d| d[off]) {
+                    rows.push((t.id, scores[off]));
+                }
+            }
+        }
+        rows.sort_by(|a, b| b.1.total_cmp(&a.1));
+        rows.truncate(k);
+        rows.into_iter().map(|(id, s)| (id, s.to_bits())).collect()
     }
 
     #[test]
@@ -1271,46 +918,6 @@ mod tests {
     }
 
     #[test]
-    fn ranked_walk_matches_stable_sort() {
-        let mut s = PeerStore::new();
-        // include a score tie (ids 10 and 11) to pin the tie-break order
-        s.insert(t2(10, 0.4, 0.2));
-        s.insert(t2(11, 0.2, 0.4));
-        s.insert(t2(12, 0.9, 0.9));
-        s.insert(t2(13, 0.1, 0.1));
-        let score = LinearScore::uniform(2);
-        let walked: Vec<(u64, f64)> = s
-            .with_ranked(&score, |it| it.map(|(t, sc)| (t.id, sc)).collect())
-            .expect("LinearScore has a cache key");
-        let mut manual: Vec<(u64, f64)> = s
-            .tuples()
-            .iter()
-            .map(|t| (t.id, score.score(&t.point)))
-            .collect();
-        manual.sort_by(|a, b| b.1.total_cmp(&a.1));
-        assert_eq!(walked, manual);
-        // ties kept store order
-        assert_eq!(walked[1].0, 10);
-        assert_eq!(walked[2].0, 11);
-    }
-
-    #[test]
-    fn ranked_projection_invalidates_on_mutation() {
-        let mut s = PeerStore::new();
-        s.insert(t2(1, 0.2, 0.2));
-        let score = LinearScore::uniform(2);
-        let first: Vec<u64> = s
-            .with_ranked(&score, |it| it.map(|(t, _)| t.id).collect())
-            .unwrap();
-        assert_eq!(first, vec![1]);
-        s.insert(t2(2, 0.8, 0.8));
-        let second: Vec<u64> = s
-            .with_ranked(&score, |it| it.map(|(t, _)| t.id).collect())
-            .unwrap();
-        assert_eq!(second, vec![2, 1]);
-    }
-
-    #[test]
     fn contains_id_tracks_store() {
         let mut s = PeerStore::new();
         s.insert(t(7, 0.7));
@@ -1333,44 +940,19 @@ mod tests {
         }
         let score = LinearScore::uniform(2);
         let expect_sky = s.skyline();
-        let expect_top: Vec<u64> = s
-            .with_ranked(&score, |it| it.take(10).map(|(t, _)| t.id).collect())
-            .unwrap();
+        let expect_top = blocked_topk(&s, &score, 10);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..50 {
                         assert_eq!(s.skyline(), expect_sky);
-                        let top: Vec<u64> = s
-                            .with_ranked(&score, |it| it.take(10).map(|(t, _)| t.id).collect())
-                            .unwrap();
-                        assert_eq!(top, expect_top);
+                        assert_eq!(blocked_topk(&s, &score, 10), expect_top);
                         assert!(s.contains_id(17));
                         assert!(!s.contains_id(9999));
                     }
                 });
             }
         });
-    }
-
-    #[test]
-    fn local_view_flavours_agree() {
-        let mut s = PeerStore::new();
-        s.insert(t(1, 0.5));
-        let plain = LocalView::Plain(s.tuples());
-        let indexed = LocalView::Indexed(&s, KernelDispatch::Auto);
-        let scalar = LocalView::IndexedScalar(&s);
-        assert_eq!(plain.tuples(), indexed.tuples());
-        assert_eq!(plain.tuples(), scalar.tuples());
-        assert!(plain.store().is_none());
-        assert!(indexed.store().is_some());
-        assert!(
-            scalar.store().is_some(),
-            "scalar view keeps the index layer"
-        );
-        assert!(indexed.blocked_store().is_some());
-        assert!(scalar.blocked_store().is_none(), "blocks withheld");
-        assert!(plain.blocked_store().is_none());
     }
 
     /// Deterministic multi-block store: enough tuples for several blocks,
@@ -1450,24 +1032,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn blocked_projection_rebuild_matches_scalar() {
-        let scalar_store = blocky_store(900, 3);
-        let blocked_store = blocky_store(900, 3);
-        blocked_store.blocks();
-        let score = LinearScore::new(vec![0.7, 0.2, 0.1]);
-        let via_scalar: Vec<(u64, u64)> = scalar_store
-            .with_ranked(&score, |it| it.map(|(t, s)| (t.id, s.to_bits())).collect())
-            .unwrap();
-        let via_blocks: Vec<(u64, u64)> = blocked_store
-            .with_ranked(&score, |it| it.map(|(t, s)| (t.id, s.to_bits())).collect())
-            .unwrap();
-        assert_eq!(via_scalar, via_blocks, "bit-identical projections");
-    }
-
     /// The LSM store and a legacy-mode (rebuild-per-mutation) twin driven
     /// through the identical call sequence must agree on every observable:
-    /// length, tuple sequence, skyline, ranked walks, membership,
+    /// length, tuple sequence, skyline, blocked top-k (ids and score bits),
     /// generations.
     #[test]
     fn lsm_agrees_with_legacy_twin_under_churn() {
@@ -1505,11 +1072,11 @@ mod tests {
             assert_eq!(lsm.generation(), legacy.generation(), "round {round}");
             assert_eq!(lsm.tuples(), legacy.tuples(), "round {round}");
             assert_eq!(lsm.skyline(), legacy.skyline(), "round {round}");
-            let walk = |s: &PeerStore| -> Vec<(u64, u64)> {
-                s.with_ranked(&score, |it| it.map(|(t, s)| (t.id, s.to_bits())).collect())
-                    .unwrap()
-            };
-            assert_eq!(walk(&lsm), walk(&legacy), "round {round}");
+            assert_eq!(
+                blocked_topk(&lsm, &score, usize::MAX),
+                blocked_topk(&legacy, &score, usize::MAX),
+                "round {round}"
+            );
         }
         assert!(lsm.ingest_stats().runs > 0, "the LSM twin actually froze");
         assert!(
@@ -1519,7 +1086,7 @@ mod tests {
     }
 
     /// Compaction is a logical no-op: same tuples, same generation, same
-    /// skyline and ranked walks — only the physical layout (runs,
+    /// skyline and blocked top-k — only the physical layout (runs,
     /// tombstones) changes.
     #[test]
     fn compaction_is_invisible() {
@@ -1530,11 +1097,7 @@ mod tests {
         let tuples_before = s.tuples().to_vec();
         let sky_before = s.skyline();
         let score = LinearScore::new(vec![0.5, 0.3, 0.2]);
-        let walk = |s: &PeerStore| -> Vec<(u64, u64)> {
-            s.with_ranked(&score, |it| it.map(|(t, s)| (t.id, s.to_bits())).collect())
-                .unwrap()
-        };
-        let walk_before = walk(&s);
+        let top_before = blocked_topk(&s, &score, usize::MAX);
         // The quarter-dead trigger already ran a compaction inside
         // delete_batch; force another full pass explicitly (idempotent on
         // a clean store).
@@ -1542,7 +1105,7 @@ mod tests {
         assert_eq!(s.generation(), gen, "no generation bump");
         assert_eq!(s.tuples(), &tuples_before[..]);
         assert_eq!(s.skyline(), sky_before);
-        assert_eq!(walk(&s), walk_before);
+        assert_eq!(blocked_topk(&s, &score, usize::MAX), top_before);
         assert_eq!(s.ingest_stats().tombstones, 0, "masks rewritten away");
         let blocks = s.blocks();
         assert_eq!(blocks.rows(), s.len());
@@ -1575,87 +1138,6 @@ mod tests {
         assert!((l.ingest_stats().write_amplification() - 1.0).abs() < 1e-12);
     }
 
-    /// The merge walk reports memtable reads and tombstone skips through
-    /// the scan bracket; a store with frozen runs, a tail and tombstones
-    /// exercises all three counters.
-    #[test]
-    fn ranked_walk_reports_memtable_and_tombstones() {
-        let mut s = PeerStore::new();
-        s.insert_batch((0..600u64).map(|i| t(i, (i as f64 * 0.473) % 1.0)));
-        s.delete_batch((0..600).filter(|i| i % 10 == 0));
-        let score = LinearScore::uniform(2);
-        // Build the projection outside the bracket; measure the walk only.
-        let _ = s.with_ranked(&score, |it| it.count());
-        crate::scan::begin();
-        let n = s.with_ranked(&score, |it| it.count()).unwrap();
-        let c = crate::scan::end();
-        assert_eq!(n, s.len());
-        assert_eq!(
-            c.memtable_hits,
-            (s.len() - s.frozen_live) as u64,
-            "every tail row surfaced through the memtable source"
-        );
-        assert!(
-            c.tombstones_masked > 0,
-            "masked entries were skipped during the merge"
-        );
-        assert_eq!(
-            c.tuples_scanned, 0,
-            "walking a fresh projection rescans nothing"
-        );
-    }
-
-    /// Overflowing MAX_PROJECTIONS evicts the least-recently-hit live
-    /// projection and never changes any query result.
-    #[test]
-    fn projection_eviction_is_lru_and_invisible() {
-        let mut s = PeerStore::new();
-        for i in 0..50u64 {
-            let x = (i as f64 * 0.37) % 1.0;
-            let y = (i as f64 * 0.61) % 1.0;
-            s.insert(t2(i, x, y));
-        }
-        let scores: Vec<LinearScore> = (0..MAX_PROJECTIONS as u64 + 8)
-            .map(|i| LinearScore::new(vec![1.0 + i as f64, 2.0]))
-            .collect();
-        let expected: Vec<Vec<u64>> = scores
-            .iter()
-            .map(|sc| {
-                let mut manual: Vec<(f64, u64)> = s
-                    .tuples()
-                    .iter()
-                    .map(|t| (sc.score(&t.point), t.id))
-                    .collect();
-                manual.sort_by(|a, b| b.0.total_cmp(&a.0));
-                manual.into_iter().map(|(_, id)| id).collect()
-            })
-            .collect();
-        let walk = |sc: &LinearScore| -> Vec<u64> {
-            s.with_ranked(sc, |it| it.map(|(t, _)| t.id).collect())
-                .unwrap()
-        };
-        // Fill the cache, keep score 0 hot, then overflow: the cold entries
-        // get evicted, score 0 survives, and every answer stays correct.
-        for (i, sc) in scores.iter().enumerate() {
-            assert_eq!(walk(sc), expected[i], "fill {i}");
-            assert_eq!(walk(&scores[0]), expected[0], "hot entry stays right");
-        }
-        let live = s.cache.read().unwrap().projections.len();
-        assert!(live <= MAX_PROJECTIONS, "eviction caps the cache: {live}");
-        assert!(
-            s.cache
-                .read()
-                .unwrap()
-                .projections
-                .contains_key(&scores[0].cache_key().unwrap()),
-            "the always-hit projection survives LRU eviction"
-        );
-        // Revisiting everything (including evicted entries) still agrees.
-        for (i, sc) in scores.iter().enumerate() {
-            assert_eq!(walk(sc), expected[i], "revisit {i}");
-        }
-    }
-
     /// Store-path scan accounting: rebuilds report rows scanned / blocks
     /// pruned inside a bracket and stay silent outside one.
     #[test]
@@ -1670,24 +1152,5 @@ mod tests {
         crate::scan::begin();
         let _ = s.skyline(); // cache hit: no scan work
         assert_eq!(crate::scan::end(), ScanCounts::default());
-    }
-
-    /// After an insert, refreshing a projection rescans only the memtable
-    /// tail — the frozen runs keep their sorted entries.
-    #[test]
-    fn projection_refresh_is_proportional_to_the_delta() {
-        let mut s = PeerStore::new();
-        s.insert_batch((0..2048u64).map(|i| t(i, (i as f64 * 0.731) % 1.0)));
-        let score = LinearScore::uniform(2);
-        let _ = s.with_ranked(&score, |it| it.count());
-        s.insert(t(5000, 0.42));
-        crate::scan::begin();
-        let _ = s.with_ranked(&score, |it| it.count());
-        let c = crate::scan::end();
-        assert_eq!(
-            c.tuples_scanned, 1,
-            "only the 1-row memtable rescored ({} frozen rows untouched)",
-            s.frozen_live
-        );
     }
 }

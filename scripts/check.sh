@@ -20,6 +20,9 @@ cargo test --workspace --offline
 echo "== cargo build --release (tier-1 gate) =="
 cargo build --release --workspace --offline
 
+echo "== perfbench build (the end-to-end benchmark compiles against crates/) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== parallel-exec smoke (sequential == parallel, thread-scaling gate) =="
 cargo run --release --offline -p ripple-bench --bin parallel_exec_bench -- --smoke
 cargo run --release --offline -p ripple-bench --bin parallel_exec_bench -- --smoke --threads 1
@@ -28,7 +31,8 @@ echo "== kernel smoke (blocked == scalar cross-check + pruning, no timing gate) 
 # The equivalence suites prove the columnar block layer is observationally
 # invisible (bit-identical ledgers, answers and coverage across mode x
 # query x fault plane x thread count on both substrates); the quick bench
-# cross-checks twin networks end to end and verifies blocks get pruned.
+# cross-checks blocked against naive runs end to end and verifies blocks
+# get pruned.
 cargo test --release --offline -p ripple-core kernel_equivalence -- --quiet
 cargo test --release --offline -p ripple-chord --test kernels -- --quiet
 cargo run --release --offline -p ripple-bench --bin kernel_bench -- --quick
@@ -103,8 +107,8 @@ echo "== ingest smoke (LSM write path == rebuild-per-insert, compaction invisibi
 # The equivalence suites drive twin overlays (LSM vs legacy rebuild
 # layout) through interleaved insert -> query -> compact -> delete
 # schedules and require bit-identical answers, ledgers and certificates
-# on both substrates; the quick bench adds a store-level lockstep walk
-# and a smaller-preload throughput floor (the 100x sustained-ingest gate
+# on both substrates; the quick bench adds a store-level blocked top-k
+# lockstep and a smaller-preload throughput floor (the 100x sustained-ingest gate
 # runs only in the full bench — timing gates are flaky at smoke scale).
 cargo test --release --offline -p ripple-core ingest_equivalence -- --quiet
 cargo test --release --offline -p ripple-chord --test ingest -- --quiet
