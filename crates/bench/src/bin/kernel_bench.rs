@@ -8,8 +8,9 @@
 //! ever read):
 //!
 //! * **top-k**: every query carries a fresh linear scoring function
-//!   (blocked: batched `score_block` + bounded heap + `f⁺` block pruning;
-//!   scalar: per-tuple scoring + full sort);
+//!   (blocked: one batched `score_block` pass + top-k selector + `f⁺`
+//!   block pruning, keeping the answer rows for the local answer; scalar:
+//!   per-tuple scoring + full sort, then a rescoring filter);
 //! * **constrained skyline**: a selective constraint defeats the per-peer
 //!   skyline cache, so peers scan for the qualifying rows on every visit
 //!   (blocked: columnar `filter_in_box` + corner-pruned blocks + index

@@ -124,7 +124,7 @@ fn planner_probes_and_exploits_on_the_ring() {
 fn blocked_scan_prunes_on_the_ring() {
     // The naive reference scans plain slices, so its scan counts are the
     // true scalar effort. Few peers, many tuples: every store spans several
-    // blocks, which is what gives the bounded heap blocks to skip.
+    // blocks, which is what gives the top-k selector blocks to skip.
     let (net, mut rng) = loaded_ring(8, 12000, 72);
     let q = TopKQuery::new(LinearScore::new(vec![1.0]), 4);
     let initiator = net.random_peer(&mut rng);

@@ -36,6 +36,37 @@ impl TopKState {
     }
 }
 
+/// A peer's top-k local state: the `(m, τ)` pair of Algorithm 4 plus, when
+/// a blocked scan computed it, the rows that scan found at or above `τ` —
+/// the peer's local answer (Algorithm 6), read back from the same view
+/// without a second scan.
+#[derive(Clone, Debug)]
+pub struct TopKLocal {
+    /// The `(m, τ)` state.
+    pub state: TopKState,
+    /// Every live row of the scanned snapshot scoring at or above
+    /// `state.tau`, in store order. `None` for states computed from a
+    /// plain view and for merged states.
+    answer: Option<Vec<Pick>>,
+}
+
+impl From<TopKState> for TopKLocal {
+    fn from(state: TopKState) -> Self {
+        Self {
+            state,
+            answer: None,
+        }
+    }
+}
+
+/// One candidate row of a blocked top-k scan.
+#[derive(Clone, Copy, Debug)]
+struct Pick {
+    score: f64,
+    block: u32,
+    offset: u32,
+}
+
 /// A top-k query over rectangle regions.
 pub struct TopKQuery<F> {
     /// The scoring function (provides `f` and `f⁺`).
@@ -58,7 +89,8 @@ impl<F: ScoreFn> TopKQuery<F> {
     /// sorted descending (at least the best `min(k, total)` of them): count
     /// the qualifying prefix, top up while the global count falls short of
     /// `k`. Only the best `k` scores are ever inspected (`above ≤ k` before
-    /// and after the top-up).
+    /// and after the top-up). The scalar reference the blocked
+    /// [`TopKQuery::state_of`] must match.
     fn state_from_ranked(
         &self,
         scores_desc: &[f64],
@@ -85,43 +117,110 @@ impl<F: ScoreFn> TopKQuery<F> {
         }
     }
 
-    /// Algorithm 4 over the store's columnar mirror: score whole blocks
-    /// through the [`ScoreFn::score_block`] kernel, keep the best `k` scores
-    /// in a [`kernels::TopScores`] selector, and skip any block whose region
-    /// bound `f⁺` (over the block's bounding box) falls strictly below the
-    /// current `k`-th best score. That threshold only ever rises, so a
-    /// skipped block's scores all sit strictly below the *final* `k`-th
-    /// value and cannot change the top-`k` score multiset.
+    /// [`TopKQuery::state_from_ranked`] without the sort, on the candidate
+    /// rows of a blocked scan of a peer holding `total` tuples. `picks`
+    /// holds, in any order, every row that can enter the state: the best
+    /// `min(k, total)` rows, or, once the global state holds `k`, the best
+    /// `k` of those at or above `τ_G`. Take up to `k` candidates scoring at
+    /// or above `τ_G`, top up to `k` while the global count falls short,
+    /// and set `τ` to the `m`-th best candidate score by `total_cmp` (where
+    /// a descending sort would put it). May reorder `picks`.
+    fn state_of(&self, picks: &mut [Pick], total: usize, global: &TopKState) -> TopKState {
+        let above = picks
+            .iter()
+            .filter(|p| p.score >= global.tau)
+            .count()
+            .min(self.k);
+        let m = if global.m + above < self.k {
+            (self.k - global.m).min(total)
+        } else {
+            above
+        };
+        if m == 0 {
+            // No local contribution: an infinitely high threshold over zero
+            // tuples keeps `min(τ_G, τ_L)` and the local answer neutral.
+            return TopKState {
+                m: 0,
+                tau: f64::INFINITY,
+            };
+        }
+        let tau = if m == picks.len() {
+            picks
+                .iter()
+                .map(|p| p.score)
+                .min_by(|a, b| a.total_cmp(b))
+                .expect("m > 0 candidates")
+        } else {
+            let (_, nth, _) =
+                picks.select_nth_unstable_by(m - 1, |a, b| b.score.total_cmp(&a.score));
+            nth.score
+        };
+        TopKState { m, tau }
+    }
+
+    /// Algorithm 7: find the highest threshold guaranteeing `k` tuples.
+    pub fn merge_states(&self, states: &mut [TopKState]) -> TopKState {
+        states.sort_by(|a, b| b.tau.total_cmp(&a.tau));
+        let mut m = 0;
+        let mut tau = f64::INFINITY;
+        for s in states.iter() {
+            if s.m == 0 {
+                continue;
+            }
+            m += s.m;
+            tau = s.tau;
+            if m >= self.k {
+                break;
+            }
+        }
+        if m == 0 {
+            return TopKState {
+                m: 0,
+                tau: f64::INFINITY,
+            };
+        }
+        TopKState { m, tau }
+    }
+
+    /// Algorithms 4 and 6 in one pass over the store's columnar mirror:
+    /// score whole blocks through the [`ScoreFn::score_block`] kernel and
+    /// keep every live row that can still reach the top `k` as a candidate,
+    /// in store order.
     ///
-    /// Once the global state already holds `k` tuples there is no top-up,
-    /// so only local scores at or above `τ_G` can enter the state: lower
-    /// scores are never offered and blocks bounded below `τ_G` are skipped
-    /// too. Either way the resulting `(m, τ)` state is bit-identical to the
-    /// scalar sort's.
-    fn blocked_state(
+    /// A row is a candidate while its score is at or above the bar. Once
+    /// the global state holds `k` tuples Algorithm 4 does no top-up, so
+    /// only scores at or above `τ_G` can enter the state: `τ_G` is the
+    /// floor of the bar. Once `k` candidates are known, the bar rises to
+    /// their `k`-th best score. A block whose region bound `f⁺` (over the
+    /// block's bounding box) falls strictly below the bar is skipped whole.
+    /// The bar only ever rises, so every dropped row scores strictly below
+    /// the final `τ`: the candidates hold the best `k` scores (the state,
+    /// bit-identical to the scalar sort's) and every row at or above `τ`
+    /// (the local answer, the rows the scalar filter keeps).
+    fn blocked_local(
         &self,
         store: &PeerStore,
         dispatch: KernelDispatch,
         global: &TopKState,
-    ) -> TopKState {
-        let floor = (global.m >= self.k).then_some(global.tau);
+    ) -> TopKLocal {
+        let floor = if global.m >= self.k {
+            global.tau
+        } else {
+            f64::NEG_INFINITY
+        };
+        let mut bar = floor;
         let blocks = store.blocks_at(dispatch);
-        let mut top = kernels::TopScores::new(self.k);
         let mut cols: Vec<&[f64]> = Vec::new();
         let mut scores: Vec<f64> = Vec::new();
+        let mut picks: Vec<Pick> = Vec::new();
+        let mut kth: Vec<f64> = Vec::new();
         for b in 0..blocks.num_blocks() {
-            let bar = match (top.min(), floor) {
-                (Some(min), Some(floor)) => Some(min.max(floor)),
-                (min, floor) => min.or(floor),
-            };
-            if let Some(bar) = bar {
-                let ub = self
-                    .score
-                    .upper_bound_corners(blocks.block_min(b), blocks.block_max(b));
-                if ub < bar {
-                    scan::add_pruned(1);
-                    continue;
-                }
+            let ub = self
+                .score
+                .upper_bound_corners(blocks.block_min(b), blocks.block_max(b));
+            if ub < bar {
+                scan::add_pruned(1);
+                continue;
             }
             blocks.block_cols(b, &mut cols);
             self.score.score_block(&cols, &mut scores, dispatch);
@@ -131,25 +230,52 @@ impl<F: ScoreFn> TopKQuery<F> {
                 scan::add_memtable(blocks.block_live(b) as u64);
             }
             // The kernel scores every physical row (whole-column SIMD);
-            // tombstoned rows are dropped before the offer, exactly like the
+            // tombstoned rows never become candidates, exactly like the
             // scalar path never sees them.
             let dead = blocks.block_dead(b);
-            if dead.is_some() || floor.is_some() {
-                let mut off = 0;
-                scores.retain(|s| {
-                    off += 1;
-                    !dead.is_some_and(|d| d[off - 1]) && floor.is_none_or(|f| *s >= f)
-                });
+            let block = b as u32;
+            // Room for `k` candidates up front: the filter below cannot size
+            // its output, and past `k` the bar starts cutting them back.
+            picks.reserve(self.k.min(scores.len()));
+            picks.extend(
+                scores
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, &s)| s >= bar && !dead.is_some_and(|d| d[i]))
+                    .map(|(i, &score)| Pick {
+                        score,
+                        block,
+                        offset: i as u32,
+                    }),
+            );
+            if picks.len() >= self.k {
+                // Raise the bar to the `k`-th best candidate (selected on a
+                // copy, so the candidates keep store order); rows tied with
+                // it stay, they belong to the answer.
+                kth.clear();
+                kth.extend(picks.iter().map(|p| p.score));
+                let (_, &mut nth, _) =
+                    kth.select_nth_unstable_by(self.k - 1, |a, b| b.total_cmp(a));
+                bar = bar.max(nth);
+                picks.retain(|p| p.score >= bar);
             }
-            top.offer_all(&scores);
         }
-        self.state_from_ranked(&top.into_sorted_desc(), store.len(), global)
+        let state = self.state_of(&mut picks, store.len(), global);
+        picks.retain(|p| p.score >= state.tau);
+        // `state_of` may have reordered the candidates; already sorted
+        // input (the common case) costs one linear pass.
+        picks.sort_unstable_by_key(|p| (p.block, p.offset));
+        TopKLocal {
+            state,
+            answer: Some(picks),
+        }
     }
 
-    /// Algorithm 6 over the columnar mirror: a per-block threshold filter
-    /// via [`kernels::filter_at_least`], skipping blocks whose upper bound
-    /// falls strictly below `τ` — every row there scores `≤ f⁺ < τ` and
-    /// would fail the scalar filter too. Rows are emitted in ascending
+    /// Algorithm 6 over the columnar mirror, for states that carry no
+    /// answer rows (merged states on an indexed view): a per-block
+    /// threshold filter via [`kernels::filter_at_least`], skipping blocks
+    /// whose upper bound falls strictly below `τ` — every row there scores
+    /// `≤ f⁺ < τ` and would fail the scalar filter too. Rows are emitted in ascending
     /// store order, so the answer matches the scalar scan element for
     /// element.
     fn blocked_answer(
@@ -179,9 +305,11 @@ impl<F: ScoreFn> TopKQuery<F> {
                 scan::add_memtable(blocks.block_live(b) as u64);
             }
             idx.clear();
+            idx.reserve(scores.len());
             kernels::filter_at_least(dispatch, &scores, local.tau, &mut idx);
             let rows = blocks.block_tuples(b);
             let dead = blocks.block_dead(b);
+            answer.reserve(idx.len());
             answer.extend(
                 idx.iter()
                     .filter(|&&i| !dead.is_some_and(|d| d[i as usize]))
@@ -194,7 +322,7 @@ impl<F: ScoreFn> TopKQuery<F> {
 
 impl<F: ScoreFn> RankQuery<Rect> for TopKQuery<F> {
     type Global = TopKState;
-    type Local = TopKState;
+    type Local = TopKLocal;
 
     fn initial_global(&self) -> TopKState {
         TopKState::empty()
@@ -205,10 +333,11 @@ impl<F: ScoreFn> RankQuery<Rect> for TopKQuery<F> {
     /// the best remaining local tuples.
     ///
     /// On an indexed view this is the blocked kernel scan over the store's
-    /// columnar mirror; a plain view scans, scores and sorts.
-    fn compute_local_state(&self, view: &LocalView<'_>, global: &TopKState) -> TopKState {
+    /// columnar mirror, which also keeps the local answer; a plain view
+    /// scans, scores and sorts.
+    fn compute_local_state(&self, view: &LocalView<'_>, global: &TopKState) -> TopKLocal {
         if let Some((store, dispatch)) = view.store() {
-            return self.blocked_state(store, dispatch, global);
+            return self.blocked_local(store, dispatch, global);
         }
         let mut scores: Vec<f64> = view
             .tuples()
@@ -217,7 +346,7 @@ impl<F: ScoreFn> RankQuery<Rect> for TopKQuery<F> {
             .collect();
         scores.sort_by(|a, b| b.total_cmp(a));
         scan::add_scanned(scores.len() as u64);
-        self.state_from_ranked(&scores, scores.len(), global)
+        self.state_from_ranked(&scores, scores.len(), global).into()
     }
 
     /// Algorithm 5, strengthened with the Algorithm 7 merge.
@@ -234,48 +363,41 @@ impl<F: ScoreFn> RankQuery<Rect> for TopKQuery<F> {
     /// tuples ≥ τ_1 plus `m_2` tuples ≥ τ_2 ≥ τ_1" supports the threshold
     /// `τ_1` with `m_1 + m_2` tuples. This is strictly tighter than the
     /// printed `min` and is what gives the paper's Figure 4–6 behaviour.
-    fn compute_global_state(&self, global: &TopKState, local: &TopKState) -> TopKState {
-        RankQuery::<Rect>::update_local_state(self, vec![*global, *local])
+    fn compute_global_state(&self, global: &TopKState, local: &TopKLocal) -> TopKState {
+        self.merge_states(&mut [*global, local.state])
     }
 
-    /// Algorithm 7: find the highest threshold guaranteeing `k` tuples.
-    fn update_local_state(&self, mut states: Vec<TopKState>) -> TopKState {
-        states.sort_by(|a, b| b.tau.total_cmp(&a.tau));
-        let mut m = 0;
-        let mut tau = f64::INFINITY;
-        for s in &states {
-            if s.m == 0 {
-                continue;
-            }
-            m += s.m;
-            tau = s.tau;
-            if m >= self.k {
-                break;
-            }
-        }
-        if m == 0 {
-            return TopKState {
-                m: 0,
-                tau: f64::INFINITY,
-            };
-        }
-        TopKState { m, tau }
+    /// Algorithm 7 ([`TopKQuery::merge_states`]). The merged state carries
+    /// no answer rows: its threshold may admit rows no single scan kept.
+    fn update_local_state(&self, states: Vec<TopKLocal>) -> TopKLocal {
+        let mut states: Vec<TopKState> = states.into_iter().map(|l| l.state).collect();
+        self.merge_states(&mut states).into()
     }
 
     /// Algorithm 6: every local tuple at or above the local threshold, in
-    /// store order (the blocked filter on an indexed view, a scalar filter
-    /// on a plain one).
-    fn compute_local_answer(&self, view: &LocalView<'_>, local: &TopKState) -> Vec<Tuple> {
-        if local.m == 0 {
+    /// store order: on an indexed view the rows the blocked scan kept with
+    /// the state (`local` must come from this view, as the executor
+    /// guarantees) or, for a merged state, the blocked filter; on a plain
+    /// view a scalar filter.
+    fn compute_local_answer(&self, view: &LocalView<'_>, local: &TopKLocal) -> Vec<Tuple> {
+        let state = &local.state;
+        if state.m == 0 {
             return Vec::new();
         }
         if let Some((store, dispatch)) = view.store() {
-            return self.blocked_answer(store, dispatch, local);
+            let Some(picks) = &local.answer else {
+                return self.blocked_answer(store, dispatch, state);
+            };
+            let blocks = store.blocks_at(dispatch);
+            return picks
+                .iter()
+                .map(|p| blocks.block_tuples(p.block as usize)[p.offset as usize].clone())
+                .collect();
         }
         scan::add_scanned(view.tuples().len() as u64);
         view.tuples()
             .iter()
-            .filter(|t| self.score.score(&t.point) >= local.tau)
+            .filter(|t| self.score.score(&t.point) >= state.tau)
             .cloned()
             .collect()
     }
@@ -307,25 +429,25 @@ impl<F: ScoreFn> RankQuery<Rect> for TopKQuery<F> {
 /// Chord, demonstrating the framework's substrate-genericity (Section 3.1).
 impl<F: ScoreFn> RankQuery<Vec<Rect>> for TopKQuery<F> {
     type Global = TopKState;
-    type Local = TopKState;
+    type Local = TopKLocal;
 
     fn initial_global(&self) -> TopKState {
         RankQuery::<Rect>::initial_global(self)
     }
 
-    fn compute_local_state(&self, view: &LocalView<'_>, global: &TopKState) -> TopKState {
+    fn compute_local_state(&self, view: &LocalView<'_>, global: &TopKState) -> TopKLocal {
         RankQuery::<Rect>::compute_local_state(self, view, global)
     }
 
-    fn compute_global_state(&self, global: &TopKState, local: &TopKState) -> TopKState {
+    fn compute_global_state(&self, global: &TopKState, local: &TopKLocal) -> TopKState {
         RankQuery::<Rect>::compute_global_state(self, global, local)
     }
 
-    fn update_local_state(&self, states: Vec<TopKState>) -> TopKState {
+    fn update_local_state(&self, states: Vec<TopKLocal>) -> TopKLocal {
         RankQuery::<Rect>::update_local_state(self, states)
     }
 
-    fn compute_local_answer(&self, view: &LocalView<'_>, local: &TopKState) -> Vec<Tuple> {
+    fn compute_local_answer(&self, view: &LocalView<'_>, local: &TopKLocal) -> Vec<Tuple> {
         RankQuery::<Rect>::compute_local_answer(self, view, local)
     }
 
@@ -534,7 +656,8 @@ mod tests {
             &query,
             &LocalView::Plain(&tuples),
             &TopKState::empty(),
-        );
+        )
+        .state;
         assert_eq!(s.m, 2);
         assert!(
             (s.tau - 1.0).abs() < 1e-12,
@@ -548,7 +671,8 @@ mod tests {
         let tuples = vec![t(1, &[0.9, 0.9]), t(2, &[0.1, 0.1])];
         // two tuples already known globally at τ = 1.5
         let g = TopKState { m: 2, tau: 1.5 };
-        let s = RankQuery::<Rect>::compute_local_state(&query, &LocalView::Plain(&tuples), &g);
+        let s =
+            RankQuery::<Rect>::compute_local_state(&query, &LocalView::Plain(&tuples), &g).state;
         assert_eq!(s.m, 1, "only the 1.8-scoring tuple beats τ");
         assert!((s.tau - 1.8).abs() < 1e-12);
     }
@@ -561,7 +685,8 @@ mod tests {
             m: 1,
             tau: 1.9, // one excellent tuple known, but we need 3
         };
-        let s = RankQuery::<Rect>::compute_local_state(&query, &LocalView::Plain(&tuples), &g);
+        let s =
+            RankQuery::<Rect>::compute_local_state(&query, &LocalView::Plain(&tuples), &g).state;
         assert_eq!(s.m, 2, "both local tuples are needed to reach k");
         assert!((s.tau - 0.4).abs() < 1e-12);
     }
@@ -574,7 +699,7 @@ mod tests {
             &LocalView::Plain(&[]),
             &TopKState::empty(),
         );
-        assert_eq!(s.m, 0);
+        assert_eq!(s.state.m, 0);
         let g = RankQuery::<Rect>::compute_global_state(&query, &TopKState { m: 2, tau: 0.7 }, &s);
         assert_eq!(g.m, 2);
         assert_eq!(g.tau, 0.7);
@@ -586,14 +711,11 @@ mod tests {
     #[test]
     fn merge_finds_highest_threshold_with_k() {
         let query = q(7);
-        let merged = RankQuery::<Rect>::update_local_state(
-            &query,
-            vec![
-                TopKState { m: 5, tau: 0.9 },
-                TopKState { m: 3, tau: 0.85 },
-                TopKState { m: 5, tau: 0.8 },
-            ],
-        );
+        let merged = query.merge_states(&mut [
+            TopKState { m: 5, tau: 0.9 },
+            TopKState { m: 3, tau: 0.85 },
+            TopKState { m: 5, tau: 0.8 },
+        ]);
         assert_eq!(merged.m, 8);
         assert!((merged.tau - 0.85).abs() < 1e-12);
     }
@@ -601,10 +723,8 @@ mod tests {
     #[test]
     fn merge_with_insufficient_total() {
         let query = q(10);
-        let merged = RankQuery::<Rect>::update_local_state(
-            &query,
-            vec![TopKState { m: 2, tau: 0.9 }, TopKState { m: 3, tau: 0.5 }],
-        );
+        let merged =
+            query.merge_states(&mut [TopKState { m: 2, tau: 0.9 }, TopKState { m: 3, tau: 0.5 }]);
         assert_eq!(merged.m, 5);
         assert!((merged.tau - 0.5).abs() < 1e-12);
     }
@@ -692,19 +812,30 @@ mod tests {
                     TopKState { m: k, tau: pivot },
                 ];
                 for global in globals {
-                    let state = RankQuery::<Rect>::compute_local_state(&query, &plain, &global);
-                    let answer = RankQuery::<Rect>::compute_local_answer(&query, &plain, &state);
+                    let local = RankQuery::<Rect>::compute_local_state(&query, &plain, &global);
+                    let answer = RankQuery::<Rect>::compute_local_answer(&query, &plain, &local);
+                    // A merged state carries no answer rows: the indexed
+                    // view then answers with the blocked filter.
+                    let merged = RankQuery::<Rect>::update_local_state(
+                        &query,
+                        vec![local.clone(), global.into()],
+                    );
+                    let merged_answer =
+                        RankQuery::<Rect>::compute_local_answer(&query, &plain, &merged);
+                    let state = local.state;
                     for dispatch in [KernelDispatch::ForcedScalar, KernelDispatch::ForcedSimd] {
                         let indexed = LocalView::Indexed(&store, dispatch);
                         let s = RankQuery::<Rect>::compute_local_state(&query, &indexed, &global);
-                        assert_eq!(s.m, state.m, "{label} n={n} k={k} {dispatch:?}: m");
+                        assert_eq!(s.state.m, state.m, "{label} n={n} k={k} {dispatch:?}: m");
                         assert_eq!(
-                            s.tau.to_bits(),
+                            s.state.tau.to_bits(),
                             state.tau.to_bits(),
                             "{label} n={n} k={k} {dispatch:?}: tau bits"
                         );
                         let a = RankQuery::<Rect>::compute_local_answer(&query, &indexed, &s);
                         assert_eq!(a, answer, "{label} n={n} k={k} {dispatch:?}: answer");
+                        let a = RankQuery::<Rect>::compute_local_answer(&query, &indexed, &merged);
+                        assert_eq!(a, merged_answer, "{label} n={n} k={k} {dispatch:?}: merged");
                     }
                 }
             }

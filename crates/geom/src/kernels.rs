@@ -1085,89 +1085,6 @@ mod simd {
     }
 }
 
-/// A selector retaining the `k` largest scores offered to it (by
-/// `f64::total_cmp`).
-///
-/// Offering every row score and reading back [`into_sorted_desc`] yields the
-/// same *multiset of values* as sorting all scores descending and truncating
-/// to `k` — ties at the boundary contribute equal values either way — which
-/// is exactly what `TopKQuery::state_from_ranked` consumes. Scores arrive a
-/// block at a time: each batch is filtered against the current `k`-th best
-/// and the survivors are cut back to `k` with one linear-time selection, so
-/// a block costs one compare per row plus that selection.
-/// The `k`-th best doubles as the block-pruning threshold: once `k` scores
-/// are retained, a block whose upper bound is strictly below
-/// [`min`](TopScores::min) cannot contribute to the top-`k` multiset and is
-/// skipped in its entirety.
-///
-/// [`into_sorted_desc`]: TopScores::into_sorted_desc
-#[derive(Clone, Debug)]
-pub struct TopScores {
-    k: usize,
-    /// The best scores so far, at most `k` between batches; once it holds
-    /// `k`, the last element is their minimum.
-    best: Vec<f64>,
-}
-
-impl TopScores {
-    /// An empty selector for the `k` best scores. Nothing is allocated
-    /// until scores are offered, so a scan that prunes every block — or an
-    /// unbounded `k` (a "collect everything" top-k) — costs only what is
-    /// actually offered.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "k must be positive");
-        Self {
-            k,
-            best: Vec::new(),
-        }
-    }
-
-    /// True once `k` scores are retained (pruning may start).
-    #[inline]
-    pub fn full(&self) -> bool {
-        self.best.len() == self.k
-    }
-
-    /// The smallest retained score, when `k` are retained.
-    #[inline]
-    pub fn min(&self) -> Option<f64> {
-        if self.full() {
-            self.best.last().copied()
-        } else {
-            None
-        }
-    }
-
-    /// Offers a batch of scores. A score equal to the current `k`-th best
-    /// is dropped: keeping it would not change the retained values.
-    pub fn offer_all(&mut self, scores: &[f64]) {
-        let before = self.best.len();
-        match self.min() {
-            Some(floor) => self
-                .best
-                .extend(scores.iter().filter(|s| s.total_cmp(&floor).is_gt())),
-            None => self.best.extend_from_slice(scores),
-        }
-        let len = self.best.len();
-        if len >= self.k && len != before {
-            // Descending order: the `k` best land in front, the `k`-th best
-            // (their minimum) at index `k - 1`.
-            self.best
-                .select_nth_unstable_by(self.k - 1, |a, b| b.total_cmp(a));
-            self.best.truncate(self.k);
-        }
-    }
-
-    /// The retained scores, best first.
-    pub fn into_sorted_desc(mut self) -> Vec<f64> {
-        self.best.sort_unstable_by(|a, b| b.total_cmp(a));
-        self.best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1494,76 +1411,6 @@ mod tests {
         assert!(!detected_features().is_empty());
         // Auto resolves consistently across calls (memoised).
         assert_eq!(KernelDispatch::Auto.simd(), KernelDispatch::Auto.simd());
-    }
-
-    #[test]
-    fn top_scores_equals_sort_desc_truncate() {
-        for (n, k) in [
-            (0usize, 3usize),
-            (2, 5),
-            (50, 1),
-            (100, 7),
-            (64, 64),
-            (33, 40),
-        ] {
-            let mut g = Gen((n * 31 + k) as u64);
-            let scores: Vec<f64> = (0..n).map(|_| g.coord()).collect();
-            let mut want = scores.clone();
-            want.sort_by(|a, b| b.total_cmp(a));
-            want.truncate(k);
-            // One batch, and batches of 7 (the threshold filter between
-            // batches must not change the retained values).
-            for chunk in [n.max(1), 7] {
-                let mut heap = TopScores::new(k);
-                for batch in scores.chunks(chunk) {
-                    heap.offer_all(batch);
-                }
-                let got = heap.into_sorted_desc();
-                assert_eq!(
-                    got.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                    "n={n} k={k} chunk={chunk}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn top_scores_handles_boundary_ties() {
-        let mut heap = TopScores::new(2);
-        heap.offer_all(&[0.5, 0.5, 0.5, 0.1, 0.5]);
-        assert_eq!(heap.min(), Some(0.5));
-        assert_eq!(heap.into_sorted_desc(), vec![0.5, 0.5]);
-    }
-
-    #[test]
-    fn top_scores_min_gates_pruning() {
-        let mut heap = TopScores::new(3);
-        assert_eq!(heap.min(), None, "not full: nothing may be pruned");
-        heap.offer_all(&[0.3, 0.9]);
-        assert!(!heap.full());
-        heap.offer_all(&[0.1]);
-        assert!(heap.full());
-        assert_eq!(heap.min(), Some(0.1));
-        heap.offer_all(&[0.2]);
-        assert_eq!(heap.min(), Some(0.2));
-        heap.offer_all(&[0.05, 0.95, 0.2, 0.6]);
-        assert_eq!(heap.min(), Some(0.6));
-        assert_eq!(heap.into_sorted_desc(), vec![0.95, 0.9, 0.6]);
-    }
-
-    #[test]
-    fn top_scores_accepts_unbounded_k() {
-        let mut heap = TopScores::new(usize::MAX);
-        heap.offer_all(&[0.2, 0.7, 0.1]);
-        assert_eq!(heap.min(), None, "never full: nothing may be pruned");
-        assert_eq!(heap.into_sorted_desc(), vec![0.7, 0.2, 0.1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be positive")]
-    fn zero_k_rejected() {
-        let _ = TopScores::new(0);
     }
 
     /// The bound helpers on `ScoreFn` must dominate every row score of a

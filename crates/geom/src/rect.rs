@@ -110,6 +110,11 @@ impl Rect {
         if !self.intersects(other) {
             return None;
         }
+        // The nested case (every MIDAS link region inside its restriction
+        // area) shares `self`'s coordinates instead of allocating new ones.
+        if other.contains_rect(self) {
+            return Some(self.clone());
+        }
         let lo: Vec<f64> = (0..self.dims())
             .map(|d| self.lo.coord(d).max(other.lo.coord(d)))
             .collect();

@@ -46,12 +46,12 @@ pub struct RunData {
     /// The run's rows (tuple copies in store order; points share their
     /// coordinate storage, so a run costs O(rows) headers, not a deep copy).
     tuples: Vec<Tuple>,
-    /// Column-major coordinates: `cols[d][i]` is coordinate `d` of row `i`.
-    cols: Vec<Box<[f64]>>,
-    /// Per-dimension minima over all rows (the box's lower corner).
-    mins: Vec<f64>,
-    /// Per-dimension maxima over all rows (the box's upper corner).
-    maxs: Vec<f64>,
+    /// One allocation holding the block's bounding box and then its
+    /// coordinates column-major: `dims` minima (the box's lower corner),
+    /// `dims` maxima (the upper corner), then one column of `rows` values
+    /// per dimension. A scan reaches bounds and columns through a single
+    /// pointer.
+    coords: Box<[f64]>,
     /// Minimum row coordinate sum (computed with the same left-fold the
     /// scalar code uses, so canonical-order comparisons are exact).
     min_sum: f64,
@@ -69,32 +69,30 @@ impl RunData {
         let rows = tuples.len();
         debug_assert!(rows <= BLOCK_ROWS, "a run is at most one block");
         let dims = tuples.first().map_or(0, Tuple::dims);
-        let mut cols: Vec<Box<[f64]>> = (0..dims)
-            .map(|_| vec![0.0; rows].into_boxed_slice())
-            .collect();
+        let mut coords = vec![0.0; dims * (2 + rows)].into_boxed_slice();
+        let (bounds, cols) = coords.split_at_mut(2 * dims);
         for (i, t) in tuples.iter().enumerate() {
             debug_assert_eq!(t.dims(), dims, "mixed dimensionality in one store");
             for (d, c) in t.point.coords().iter().enumerate() {
-                cols[d][i] = *c;
+                cols[d * rows + i] = *c;
             }
         }
-        let mut mins = vec![f64::INFINITY; dims];
-        let mut maxs = vec![f64::NEG_INFINITY; dims];
-        for (d, col) in cols.iter().enumerate() {
-            for &v in col.iter() {
+        let (mins, maxs) = bounds.split_at_mut(dims);
+        mins.fill(f64::INFINITY);
+        maxs.fill(f64::NEG_INFINITY);
+        for (d, col) in cols.chunks(rows.max(1)).enumerate() {
+            for &v in col {
                 mins[d] = mins[d].min(v);
                 maxs[d] = maxs[d].max(v);
             }
         }
-        let col_refs: Vec<&[f64]> = cols.iter().map(|c| &c[..]).collect();
+        let col_refs: Vec<&[f64]> = cols.chunks(rows.max(1)).collect();
         let mut sums = Vec::new();
         ripple_geom::kernels::coord_sums(dispatch, &col_refs, &mut sums);
         let min_sum = sums.iter().fold(f64::INFINITY, |a, &b| a.min(b));
         Self {
             tuples,
-            cols,
-            mins,
-            maxs,
+            coords,
             min_sum,
             dims,
         }
@@ -156,7 +154,7 @@ impl BlockEntry {
 /// The columnar snapshot of one peer store at one generation: the store's
 /// frozen runs (shared) followed by the memtable tail (built fresh), in
 /// store order. Blocks whose rows are all masked are omitted.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct BlockSet {
     /// Store generation this snapshot reflects.
     built_at: u64,
@@ -251,21 +249,24 @@ impl BlockSet {
     /// shape the kernels consume. The buffer is caller-owned so a
     /// multi-block scan does one allocation total.
     pub fn block_cols<'a>(&'a self, b: usize, buf: &mut Vec<&'a [f64]>) {
+        let data = &self.entries[b].data;
         buf.clear();
-        buf.extend(self.entries[b].data.cols.iter().map(|c| &c[..]));
+        buf.extend(data.coords[2 * data.dims..].chunks(data.rows()));
     }
 
     /// Per-dimension minima of block `b` (the box's lower corner — the
     /// hardest point to dominate, per Algorithm 14). Computed over all rows
     /// at freeze time: a conservative superset bound once rows are masked.
     pub fn block_min(&self, b: usize) -> &[f64] {
-        &self.entries[b].data.mins
+        let data = &self.entries[b].data;
+        &data.coords[..data.dims]
     }
 
     /// Per-dimension maxima of block `b` (the box's upper corner; superset
     /// bound, like [`block_min`](BlockSet::block_min)).
     pub fn block_max(&self, b: usize) -> &[f64] {
-        &self.entries[b].data.maxs
+        let data = &self.entries[b].data;
+        &data.coords[data.dims..2 * data.dims]
     }
 
     /// Minimum row coordinate sum of block `b` (over all rows — at or below

@@ -48,7 +48,7 @@ use crate::hash::{FxHashMap, FxHashSet};
 use crate::scan;
 use ripple_geom::{dominance, kernels, KernelDispatch, Point, Tuple, TupleId};
 use std::collections::HashSet;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// One frozen run of the store: an immutable columnar block of rows plus
 /// the mutable deletion state layered over it.
@@ -61,28 +61,6 @@ struct Run {
     dead: Option<Arc<Vec<bool>>>,
     /// Unmasked rows (`data.rows() - #dead`).
     live: usize,
-}
-
-/// The lazily-populated caches of one peer store.
-#[derive(Clone, Debug, Default)]
-struct IndexCache {
-    /// The local skyline in canonical order, as `(coordinate sum, tuple)`.
-    /// `None` until first requested or after an invalidating removal.
-    skyline: Option<Vec<(f64, Tuple)>>,
-    /// The columnar snapshot, shared with in-flight blocked scans via
-    /// `Arc` so a rebuild never invalidates a reader mid-block.
-    blocks: Option<Arc<BlockSet>>,
-}
-
-impl IndexCache {
-    /// The columnar snapshot, only if it reflects `generation` — rebuild
-    /// paths use this so they *reuse* a fresh snapshot but never build one.
-    fn fresh_blocks(&self, generation: u64) -> Option<Arc<BlockSet>> {
-        self.blocks
-            .as_ref()
-            .filter(|b| b.built_at() == generation)
-            .map(Arc::clone)
-    }
 }
 
 /// Cumulative write-path effort counters (monotone over the store's life).
@@ -144,23 +122,24 @@ impl IngestStats {
 /// columnar runs mirroring a prefix of the vector, plus the memtable tail
 /// (see the module docs for the write path).
 ///
-/// The caches sit behind a per-peer [`RwLock`] (not a `RefCell`) because
-/// both the benchmark harness and the intra-query parallel executor hit a
-/// shared network from several threads. The workload is read-mostly —
-/// once a snapshot or skyline is built at the current generation, every
-/// later query only *reads* it — so cache hits take the shared read path
-/// and run concurrently; only a rebuild after a mutation (or a first
-/// build) takes the exclusive write path, with a double-checked generation
-/// test so racing readers rebuild at most once.
+/// The caches are shared-state safe (not `RefCell`) because both the
+/// benchmark harness and the intra-query parallel executor hit a shared
+/// network from several threads. The workload is read-mostly: the columnar
+/// snapshot is a [`OnceLock`] that every mutation (`&mut self`) resets, so
+/// once built a read is one atomic load — no lock, no reference count. The
+/// skyline sits behind a [`RwLock`] because inserts maintain it in place:
+/// cache hits take the shared read path, only a rebuild after an
+/// invalidation takes the exclusive write path.
 #[derive(Debug, Default)]
 pub struct PeerStore {
     /// The logical tuple sequence: live rows of `runs` in order, then the
     /// memtable tail (`tuples[frozen_live..]`).
     tuples: Vec<Tuple>,
-    /// Bumped on every *logical* mutation; lazily-validated caches compare
-    /// against it. Physical reorganisation (freeze, compaction) does not
-    /// move it — upstream generation consumers (epoch handshake, result
-    /// cache, certificates, replicas) see only logical changes.
+    /// Bumped on every *logical* mutation (see
+    /// [`bump_generation`](PeerStore::bump_generation)). Physical
+    /// reorganisation (freeze, compaction) does not move it — upstream
+    /// generation consumers (epoch handshake, result cache, certificates,
+    /// replicas) see only logical changes.
     generation: u64,
     /// Frozen runs, mirroring `tuples[..frozen_live]` (live rows, in order).
     runs: Vec<Run>,
@@ -174,7 +153,11 @@ pub struct PeerStore {
     id_counts: FxHashMap<TupleId, u32>,
     /// Cumulative write-path effort.
     ingest: IngestCounters,
-    cache: RwLock<IndexCache>,
+    /// The local skyline in canonical order, as `(coordinate sum, tuple)`.
+    /// `None` until first requested or after an invalidating removal.
+    skyline: RwLock<Option<Vec<(f64, Tuple)>>>,
+    /// The columnar snapshot of the current generation, built on first use.
+    blocks: OnceLock<BlockSet>,
 }
 
 impl Clone for PeerStore {
@@ -187,7 +170,8 @@ impl Clone for PeerStore {
             legacy: self.legacy,
             id_counts: self.id_counts.clone(),
             ingest: self.ingest,
-            cache: RwLock::new(self.cache.read().expect("peer cache poisoned").clone()),
+            skyline: RwLock::new(self.skyline.read().expect("peer cache poisoned").clone()),
+            blocks: self.blocks.clone(),
         }
     }
 }
@@ -228,10 +212,17 @@ impl PeerStore {
         self.generation
     }
 
+    /// Advances the generation and drops the columnar snapshot, which
+    /// mirrors exactly one generation. Every logical mutation calls this.
+    fn bump_generation(&mut self) {
+        self.generation += 1;
+        self.blocks = OnceLock::new();
+    }
+
     /// Inserts a tuple (one generation bump; may freeze a full memtable
     /// into a new run).
     pub fn insert(&mut self, t: Tuple) {
-        self.generation += 1;
+        self.bump_generation();
         self.stage(t);
         self.maybe_freeze();
     }
@@ -240,7 +231,7 @@ impl PeerStore {
     /// bulk loaders (data-gen, churn stages, anti-entropy repair) pay one
     /// cache invalidation per batch instead of one per tuple.
     pub fn insert_batch(&mut self, batch: impl IntoIterator<Item = Tuple>) {
-        self.generation += 1;
+        self.bump_generation();
         for t in batch {
             self.stage(t);
         }
@@ -250,7 +241,7 @@ impl PeerStore {
     /// Appends one tuple to the memtable, maintaining the eager caches.
     /// Callers bump the generation and trigger freezing.
     fn stage(&mut self, t: Tuple) {
-        if let Some(members) = &mut self.cache.get_mut().expect("peer cache poisoned").skyline {
+        if let Some(members) = self.skyline.get_mut().expect("peer cache poisoned") {
             skyline_fold(members, &t);
         }
         *self.id_counts.entry(t.id).or_insert(0) += 1;
@@ -302,7 +293,7 @@ impl PeerStore {
         // Snapshot layout may change (tail cuts vs shared runs): drop it so
         // the next query sees the current physical shape. Contents are
         // unaffected either way.
-        self.cache.get_mut().expect("peer cache poisoned").blocks = None;
+        self.blocks = OnceLock::new();
         if !legacy {
             self.maybe_freeze();
         }
@@ -334,7 +325,7 @@ impl PeerStore {
     /// copy-on-write mask; memtable matches are dropped physically. One
     /// generation bump for the whole sweep.
     fn remove_where(&mut self, mut pred: impl FnMut(&Tuple) -> bool) -> Vec<Tuple> {
-        self.generation += 1;
+        self.bump_generation();
         let tuples = std::mem::take(&mut self.tuples);
         let mut kept = Vec::with_capacity(tuples.len());
         let mut moved = Vec::new();
@@ -396,11 +387,11 @@ impl PeerStore {
     /// (dominated tuples may resurface); removals of non-members keep the
     /// cache exact.
     fn invalidate_skyline_if_member_removed(&mut self, moved: &[Tuple]) {
-        let cache = self.cache.get_mut().expect("peer cache poisoned");
-        if let Some(members) = &cache.skyline {
+        let skyline = self.skyline.get_mut().expect("peer cache poisoned");
+        if let Some(members) = skyline {
             let member_ids: HashSet<TupleId> = members.iter().map(|(_, m)| m.id).collect();
             if moved.iter().any(|t| member_ids.contains(&t.id)) {
-                cache.skyline = None;
+                *skyline = None;
             }
         }
     }
@@ -486,7 +477,7 @@ impl PeerStore {
         // The snapshot's contents stay valid (masked rows were already
         // filtered) but its layout references retired runs; drop it so the
         // next query assembles the compacted shape.
-        self.cache.get_mut().expect("peer cache poisoned").blocks = None;
+        self.blocks = OnceLock::new();
         rewritten
     }
 
@@ -508,14 +499,12 @@ impl PeerStore {
     /// Removes and returns all tuples — used when a departing peer hands its
     /// data to the peer absorbing its zone.
     pub fn drain_all(&mut self) -> Vec<Tuple> {
-        self.generation += 1;
+        self.bump_generation();
         self.ingest.rows_deleted += self.tuples.len() as u64;
         self.runs.clear();
         self.frozen_live = 0;
         self.id_counts.clear();
-        let cache = self.cache.get_mut().expect("peer cache poisoned");
-        cache.skyline = Some(Vec::new());
-        cache.blocks = None;
+        *self.skyline.get_mut().expect("peer cache poisoned") = Some(Vec::new());
         std::mem::take(&mut self.tuples)
     }
 
@@ -552,15 +541,15 @@ impl PeerStore {
     /// (the kernel contract); the equivalence suites use the forced arms.
     pub fn skyline_at(&self, dispatch: KernelDispatch) -> Vec<Tuple> {
         {
-            let cache = self.cache.read().expect("peer cache poisoned");
-            if let Some(members) = &cache.skyline {
+            let skyline = self.skyline.read().expect("peer cache poisoned");
+            if let Some(members) = &*skyline {
                 return members.iter().map(|(_, t)| t.clone()).collect();
             }
         }
-        let mut cache = self.cache.write().expect("peer cache poisoned");
-        if cache.skyline.is_none() {
-            let members = if let Some(blocks) = cache.fresh_blocks(self.generation) {
-                Self::blocked_skyline(&blocks, dispatch)
+        let mut skyline = self.skyline.write().expect("peer cache poisoned");
+        if skyline.is_none() {
+            let members = if let Some(blocks) = self.blocks.get() {
+                Self::blocked_skyline(blocks, dispatch)
             } else {
                 scan::add_scanned(self.tuples.len() as u64);
                 dominance::skyline(&self.tuples)
@@ -568,21 +557,21 @@ impl PeerStore {
                     .map(|t| (coord_sum(&t.point), t))
                     .collect()
             };
-            cache.skyline = Some(members);
+            *skyline = Some(members);
         }
-        let members = cache.skyline.as_ref().expect("just built");
+        let members = skyline.as_ref().expect("just built");
         members.iter().map(|(_, t)| t.clone()).collect()
     }
 
     /// The columnar (structure-of-arrays) snapshot of this store at the
-    /// current generation, built on first use after a mutation and shared
-    /// (`Arc`) with in-flight scans. Frozen runs are *referenced* (zero
-    /// copy — assembling a snapshot costs O(runs + memtable), not
-    /// O(store)); only the memtable tail is laid out fresh. Blocked query
-    /// paths call this; the store's own rebuilds only ever *reuse* a fresh
-    /// snapshot, so executions that never ask for blocks stay purely
-    /// scalar.
-    pub fn blocks(&self) -> Arc<BlockSet> {
+    /// current generation, built on first use after a mutation. Frozen
+    /// runs are *referenced* (zero copy — assembling a snapshot costs
+    /// O(runs + memtable), not O(store)); only the memtable tail is laid
+    /// out fresh. Cloning a snapshot is as cheap, so a caller can keep one
+    /// across later mutations. Blocked query paths call this; the store's
+    /// own rebuilds only ever *reuse* a fresh snapshot, so executions that
+    /// never ask for blocks stay purely scalar.
+    pub fn blocks(&self) -> &BlockSet {
         self.blocks_at(KernelDispatch::Auto)
     }
 
@@ -590,19 +579,8 @@ impl PeerStore {
     /// for the memtable build pass. The snapshot's contents are
     /// bit-identical on either arm, so the shared cache never depends on
     /// who built it.
-    pub fn blocks_at(&self, dispatch: KernelDispatch) -> Arc<BlockSet> {
-        {
-            let cache = self.cache.read().expect("peer cache poisoned");
-            if let Some(blocks) = cache.fresh_blocks(self.generation) {
-                return blocks;
-            }
-        }
-        let mut cache = self.cache.write().expect("peer cache poisoned");
-        // Double-check: a racing reader may have rebuilt while we waited.
-        if cache.fresh_blocks(self.generation).is_none() {
-            cache.blocks = Some(Arc::new(self.assemble_blocks(dispatch)));
-        }
-        cache.fresh_blocks(self.generation).expect("just built")
+    pub fn blocks_at(&self, dispatch: KernelDispatch) -> &BlockSet {
+        self.blocks.get_or_init(|| self.assemble_blocks(dispatch))
     }
 
     /// Assembles the columnar snapshot: every live frozen run (shared,
@@ -978,11 +956,14 @@ mod tests {
         let b1 = s.blocks();
         assert_eq!(b1.built_at(), s.generation());
         assert_eq!(b1.rows(), 600);
-        let b2 = s.blocks();
-        assert!(Arc::ptr_eq(&b1, &b2), "fresh mirror is reused");
+        assert!(std::ptr::eq(b1, s.blocks()), "fresh mirror is reused");
         s.insert(Tuple::new(9999, vec![0.5, 0.5, 0.5]));
         let b3 = s.blocks();
-        assert!(!Arc::ptr_eq(&b1, &b3), "mutation invalidates the mirror");
+        assert_eq!(
+            b3.built_at(),
+            s.generation(),
+            "mutation rebuilds the mirror"
+        );
         assert_eq!(b3.rows(), 601);
     }
 
@@ -991,7 +972,7 @@ mod tests {
     #[test]
     fn snapshot_rebuild_shares_frozen_runs() {
         let mut s = blocky_store(600, 3);
-        let before = s.blocks();
+        let before = s.blocks().clone();
         s.insert(Tuple::new(9999, vec![0.5, 0.5, 0.5]));
         let after = s.blocks();
         assert_eq!(after.rows(), 601);
