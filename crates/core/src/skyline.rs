@@ -8,7 +8,7 @@
 
 use crate::exec::Executor;
 use crate::framework::{Mode, QueryOutcome, RankQuery, RippleOverlay};
-use ripple_geom::{dominance, kernels, KernelDispatch, Norm, Rect, Tuple};
+use ripple_geom::{dominance, kernels, KernelDispatch, Rect, Skyline, Tuple};
 use ripple_net::{scan, LocalView, PeerId, PeerStore, QueryMetrics};
 use ripple_verify::{Certificate, PruneWitness};
 
@@ -48,11 +48,10 @@ impl SkylineQuery {
 
     /// The constrained local state over the store's columnar mirror.
     ///
-    /// A three-pass sort-filter-skyline over the columnar blocks: collect
-    /// the constraint-qualifying rows (by index — no clones), sort them by
-    /// the canonical `(coordinate sum, id)` key, run the insert-only SFS
-    /// loop of [`dominance::skyline`] over references, and only then thin
-    /// by the global state, cloning nothing but the survivors.
+    /// A sort-filter-skyline over the columnar blocks: collect the
+    /// constraint-qualifying rows with their coordinate sums (by reference —
+    /// no clones), run the SFS of [`Skyline::from_keyed`] over them, and
+    /// thin the result by the global state.
     ///
     /// This equals the scalar `skyline(Q)` thinned by the global state,
     /// member for member and in the same canonical order. Blocks are
@@ -70,8 +69,8 @@ impl SkylineQuery {
         store: &PeerStore,
         dispatch: KernelDispatch,
         c: &Rect,
-        global: &[Tuple],
-    ) -> Vec<Tuple> {
+        global: &Skyline,
+    ) -> Skyline {
         let blocks = store.blocks_at(dispatch);
         let window: Vec<&[f64]> = global.iter().map(|g| g.point.coords()).collect();
         let (clo, chi) = (c.lo().coords(), c.hi().coords());
@@ -100,7 +99,7 @@ impl SkylineQuery {
                     continue;
                 }
                 // Left-fold coordinate sum in dimension order — bit-identical
-                // to the `coords().iter().sum()` key of `dominance::skyline`.
+                // to the `coords().iter().sum()` key of `Skyline::of`.
                 let mut s = 0.0;
                 for col in &cols {
                     s += col[off as usize];
@@ -108,37 +107,19 @@ impl SkylineQuery {
                 cand.push((s, &rows[off as usize]));
             }
         }
-        cand.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.id.cmp(&b.1.id)));
-        let mut sky: Vec<&Tuple> = Vec::new();
-        'outer: for &(_, t) in &cand {
-            for s in &sky {
-                if dominance::dominates(&s.point, &t.point) {
-                    continue 'outer;
-                }
-                if s.point == t.point {
-                    continue 'outer;
-                }
-            }
-            sky.push(t);
-        }
-        sky.into_iter()
-            .filter(|t| {
-                !kernels::dominated_by_any(dispatch, window.iter().copied(), t.point.coords())
-            })
-            .cloned()
-            .collect()
+        Skyline::from_keyed(cand).thin(global)
     }
 }
 
 impl RankQuery<Rect> for SkylineQuery {
     /// A partial skyline.
-    type Global = Vec<Tuple>;
+    type Global = Skyline;
     /// The local tuples that survive the partial skyline, plus any remote
     /// states folded in by `slow`/`ripple`.
-    type Local = Vec<Tuple>;
+    type Local = Skyline;
 
-    fn initial_global(&self) -> Vec<Tuple> {
-        Vec::new()
+    fn initial_global(&self) -> Skyline {
+        Skyline::default()
     }
 
     /// Algorithm 10: local skyline (of the constraint-qualifying tuples),
@@ -149,7 +130,7 @@ impl RankQuery<Rect> for SkylineQuery {
     /// recompute); constrained queries over an indexed view run the columnar
     /// fold of [`Self::blocked_constrained_state`]; otherwise they filter
     /// and scan.
-    fn compute_local_state(&self, view: &LocalView<'_>, global: &Vec<Tuple>) -> Vec<Tuple> {
+    fn compute_local_state(&self, view: &LocalView<'_>, global: &Skyline) -> Skyline {
         if let (Some((store, dispatch)), Some(c)) = (view.store(), &self.constraint) {
             // Already thinned by the global state (see the method docs).
             return self.blocked_constrained_state(store, dispatch, c, global);
@@ -163,37 +144,28 @@ impl RankQuery<Rect> for SkylineQuery {
                     .into_iter()
                     .cloned()
                     .collect();
-                dominance::skyline(&qualifying)
+                Skyline::of(&qualifying)
             }
         };
-        local_sky
-            .into_iter()
-            .filter(|t| {
-                !global
-                    .iter()
-                    .any(|g| dominance::dominates(&g.point, &t.point))
-            })
-            .collect()
+        local_sky.thin(global)
     }
 
-    /// Algorithm 11: skyline of the union (incremental merge — both inputs
-    /// are already skylines). The borrowed insert builds the merged state
-    /// directly instead of cloning the whole global skyline first.
-    fn compute_global_state(&self, global: &Vec<Tuple>, local: &Vec<Tuple>) -> Vec<Tuple> {
-        dominance::skyline_insert_ref(global, local)
+    /// Algorithm 11: skyline of the union. Both inputs are skylines, so the
+    /// merge never re-derives either one.
+    fn compute_global_state(&self, global: &Skyline, local: &Skyline) -> Skyline {
+        global.union(local)
     }
 
-    /// Algorithm 13: skyline of the union of the states (folded
-    /// incrementally — every input is already a skyline).
-    fn update_local_state(&self, states: Vec<Vec<Tuple>>) -> Vec<Tuple> {
+    /// Algorithm 13: skyline of the union of the states, merged pairwise.
+    fn update_local_state(&self, states: Vec<Skyline>) -> Skyline {
         let mut it = states.into_iter();
         let first = it.next().unwrap_or_default();
-        it.fold(first, |acc, s| dominance::skyline_insert(acc, &s))
+        it.fold(first, |acc, s| acc.union(&s))
     }
 
     /// Algorithm 12: the local tuples among the state. Indexed views answer
     /// the membership test from the store's cached id set.
-    fn compute_local_answer(&self, view: &LocalView<'_>, local: &Vec<Tuple>) -> Vec<Tuple> {
+    fn compute_local_answer(&self, view: &LocalView<'_>, local: &Skyline) -> Vec<Tuple> {
         if let Some((store, _)) = view.store() {
             return local
                 .iter()
@@ -210,7 +182,7 @@ impl RankQuery<Rect> for SkylineQuery {
 
     /// Algorithm 14: prune regions dominated in their entirety, plus — for
     /// constrained queries — regions disjoint from the constraint box.
-    fn is_link_relevant(&self, region: &Rect, global: &Vec<Tuple>) -> bool {
+    fn is_link_relevant(&self, region: &Rect, global: &Skyline) -> bool {
         if let Some(c) = &self.constraint {
             if !c.intersects(region) {
                 return false;
@@ -221,14 +193,21 @@ impl RankQuery<Rect> for SkylineQuery {
             .any(|s| dominance::dominates_rect(&s.point, region))
     }
 
-    /// Algorithm 15: regions closer to the origin first (`d⁻`).
+    /// Algorithm 15: regions closer to the origin first (`d⁻`): minus the
+    /// L2 distance from the origin to the region's nearest corner, computed
+    /// in place — the same floating-point steps as
+    /// `Norm::L2.min_dist(region, &Point::origin(d))`, without allocating.
     fn priority(&self, region: &Rect) -> f64 {
-        let origin = ripple_geom::Point::origin(region.dims());
-        -Norm::L2.min_dist(region, &origin)
+        let (lo, hi) = (region.lo().coords(), region.hi().coords());
+        -lo.iter()
+            .zip(hi)
+            .map(|(&l, &h)| (0.0_f64.clamp(l, h) - 0.0).powi(2))
+            .sum::<f64>()
+            .sqrt()
     }
 
     /// Skyline states ship their member tuples.
-    fn state_payload(&self, local: &Vec<Tuple>) -> usize {
+    fn state_payload(&self, local: &Skyline) -> usize {
         local.len()
     }
 
@@ -237,7 +216,7 @@ impl RankQuery<Rect> for SkylineQuery {
     /// re-tests the domination geometrically and requires the witness point
     /// to be supported by the final skyline (equal to a member or dominated
     /// by one — dominance chains always end in the skyline).
-    fn prune_witness(&self, region: &Rect, global: &Vec<Tuple>) -> PruneWitness {
+    fn prune_witness(&self, region: &Rect, global: &Skyline) -> PruneWitness {
         if let Some(c) = &self.constraint {
             if !c.intersects(region) {
                 return PruneWitness::Disjoint;
@@ -374,10 +353,10 @@ mod tests {
     fn local_state_is_thinned_by_global() {
         let q = SkylineQuery::new();
         let tuples = vec![t(1, &[0.5, 0.5]), t(2, &[0.9, 0.9])];
-        let global = vec![t(10, &[0.4, 0.4])]; // dominates both
+        let global = Skyline::of(&[t(10, &[0.4, 0.4])]); // dominates both
         let s = q.compute_local_state(&LocalView::Plain(&tuples), &global);
         assert!(s.is_empty(), "dominated local tuples must not survive");
-        let s2 = q.compute_local_state(&LocalView::Plain(&tuples), &Vec::new());
+        let s2 = q.compute_local_state(&LocalView::Plain(&tuples), &Skyline::default());
         assert_eq!(s2.len(), 1);
         assert_eq!(s2[0].id, 1);
     }
@@ -385,8 +364,9 @@ mod tests {
     #[test]
     fn global_state_merges() {
         let q = SkylineQuery::new();
-        let g = vec![t(1, &[0.1, 0.9])];
-        let l = vec![t(2, &[0.9, 0.1]), t(3, &[0.95, 0.2])];
+        let g = Skyline::of(&[t(1, &[0.1, 0.9])]);
+        // Not a skyline: `t(3)` is dominated by `t(2)`; `of` thins it.
+        let l = Skyline::of(&[t(2, &[0.9, 0.1]), t(3, &[0.95, 0.2])]);
         let merged = q.compute_global_state(&g, &l);
         let mut ids: Vec<u64> = merged.iter().map(|x| x.id).collect();
         ids.sort_unstable();
@@ -396,13 +376,13 @@ mod tests {
     #[test]
     fn link_pruning_by_domination() {
         let q = SkylineQuery::new();
-        let global = vec![t(1, &[0.2, 0.2])];
+        let global = Skyline::of(&[t(1, &[0.2, 0.2])]);
         let dominated = Rect::new(vec![0.5, 0.5], vec![0.9, 0.9]);
         let alive = Rect::new(vec![0.0, 0.5], vec![0.5, 1.0]);
         assert!(!q.is_link_relevant(&dominated, &global));
         assert!(q.is_link_relevant(&alive, &global));
         assert!(
-            q.is_link_relevant(&dominated, &Vec::new()),
+            q.is_link_relevant(&dominated, &Skyline::default()),
             "empty state prunes nothing"
         );
     }
@@ -415,11 +395,35 @@ mod tests {
         assert!(q.priority(&near) > q.priority(&far));
     }
 
+    /// The in-place priority is bit-equal to the allocating reference,
+    /// including rects that straddle 0 on some dimensions.
+    #[test]
+    fn priority_equals_min_dist_to_origin_bitwise() {
+        use ripple_geom::{Norm, Point};
+        use ripple_net::rng::rngs::SmallRng;
+        use ripple_net::rng::{Rng, SeedableRng};
+        let q = SkylineQuery::new();
+        let mut rng = SmallRng::seed_from_u64(17);
+        for _ in 0..500 {
+            let dims = rng.gen_range(1..7);
+            let (mut lo, mut hi) = (Vec::new(), Vec::new());
+            for _ in 0..dims {
+                let a: f64 = rng.gen::<f64>() * 2.0 - 0.5;
+                let b: f64 = rng.gen::<f64>() * 2.0 - 0.5;
+                lo.push(a.min(b));
+                hi.push(a.max(b));
+            }
+            let r = Rect::new(lo, hi);
+            let reference = -Norm::L2.min_dist(&r, &Point::origin(dims));
+            assert_eq!(q.priority(&r).to_bits(), reference.to_bits(), "{r:?}");
+        }
+    }
+
     #[test]
     fn local_answer_keeps_only_local_tuples() {
         let q = SkylineQuery::new();
         let tuples = vec![t(1, &[0.5, 0.5])];
-        let state = vec![t(1, &[0.5, 0.5]), t(9, &[0.1, 0.9])];
+        let state = Skyline::of(&[t(1, &[0.5, 0.5]), t(9, &[0.1, 0.9])]);
         let a = q.compute_local_answer(&LocalView::Plain(&tuples), &state);
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].id, 1);
@@ -429,7 +433,7 @@ mod tests {
     fn state_payload_counts_tuples() {
         let q = SkylineQuery::new();
         assert_eq!(
-            q.state_payload(&vec![t(1, &[0.1, 0.1]), t(2, &[0.2, 0.05])]),
+            q.state_payload(&Skyline::of(&[t(1, &[0.1, 0.1]), t(2, &[0.2, 0.05])])),
             2
         );
     }

@@ -9,6 +9,9 @@
 //! the query initiator, so they are heavily exercised; `skyline` uses a
 //! sort-by-sum sweep so that most dominance tests hit early-exit.
 
+use std::ops::Deref;
+
+use crate::kernels::{self, KernelDispatch};
 use crate::point::{Point, Tuple};
 use crate::rect::Rect;
 
@@ -36,90 +39,10 @@ pub fn dominates_rect(s: &Point, region: &Rect) -> bool {
     dominates(s, region.lo())
 }
 
-/// Computes the skyline (maximal set under Pareto dominance) of `tuples`.
-///
-/// Sorting by coordinate sum first guarantees that a tuple can only be
-/// dominated by one that precedes it in the scan, so a single forward pass
-/// over a growing window suffices (the classic SFS algorithm).
+/// Computes the skyline (maximal set under Pareto dominance) of `tuples`,
+/// in the canonical order of [`Skyline::of`].
 pub fn skyline(tuples: &[Tuple]) -> Vec<Tuple> {
-    // Precompute the `(coordinate sum, tuple)` sort keys once: O(n·d) sums
-    // plus an O(n log n) sort over ready-made keys, instead of recomputing
-    // both sums inside every comparator call (O(n·d log n)). The keys are
-    // identical to what the comparator computed, so the order — and with it
-    // the canonical output order — is unchanged.
-    let mut order: Vec<(f64, &Tuple)> = tuples
-        .iter()
-        .map(|t| (t.point.coords().iter().sum(), t))
-        .collect();
-    order.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.id.cmp(&b.1.id)));
-    let mut sky: Vec<Tuple> = Vec::new();
-    'outer: for (_, t) in order {
-        for s in &sky {
-            if dominates(&s.point, &t.point) {
-                continue 'outer;
-            }
-            // Equal points: keep only the first representative.
-            if s.point == t.point {
-                continue 'outer;
-            }
-        }
-        sky.push(t.clone());
-    }
-    sky
-}
-
-/// Canonical insertion position of `(sum, id)` in a skyline slice sorted by
-/// ascending `(coordinate sum, id)` — the order [`skyline`] produces.
-fn canonical_pos(members: &[(f64, Tuple)], sum: f64, id: u64) -> usize {
-    members.partition_point(|(ms, m)| ms.total_cmp(&sum).then_with(|| m.id.cmp(&id)).is_lt())
-}
-
-/// Folds one tuple (with its coordinate sum precomputed by the caller —
-/// e.g. a whole block at a time via [`crate::kernels::coord_sums`]) into a
-/// canonical `(sum, tuple)` skyline, preserving exactly the set, order and
-/// duplicate representatives a full [`skyline`] recompute would produce.
-/// Folding any tuple sequence from an empty vector *is* the recompute;
-/// incremental maintainers (the peer store) and blocked scans share this
-/// one implementation.
-pub fn skyline_fold(members: &mut Vec<(f64, Tuple)>, t: &Tuple, sum: f64) {
-    // Only members with a smaller coordinate sum can dominate `t`, and only
-    // members with an equal sum can equal it point-wise; the canonical order
-    // lets the scan stop early.
-    let mut i = 0;
-    while i < members.len() && members[i].0 <= sum {
-        let m = &members[i].1;
-        if dominates(&m.point, &t.point) {
-            return;
-        }
-        if m.point == t.point {
-            if t.id < m.id {
-                // A full recompute keeps the min-id representative of an
-                // exact duplicate; replace and reposition within the
-                // equal-sum block.
-                members.remove(i);
-                let pos = canonical_pos(members, sum, t.id);
-                members.insert(pos, (sum, t.clone()));
-            }
-            return;
-        }
-        i += 1;
-    }
-    // `t` enters the skyline: evict members it dominates (all have a larger
-    // sum, so they sit at or after `i`) and insert at the canonical spot.
-    members.retain(|(ms, m)| *ms <= sum || !dominates(&t.point, &m.point));
-    let pos = canonical_pos(members, sum, t.id);
-    members.insert(pos, (sum, t.clone()));
-}
-
-/// Merges several partial skylines into the skyline of their union
-/// (Algorithms 11 and 13 both reduce to this operation).
-pub fn skyline_merge<I>(parts: I) -> Vec<Tuple>
-where
-    I: IntoIterator,
-    I::Item: IntoIterator<Item = Tuple>,
-{
-    let all: Vec<Tuple> = parts.into_iter().flatten().collect();
-    skyline(&all)
+    Skyline::of(tuples).into_vec()
 }
 
 /// Computes the *k-skyband*: every tuple dominated by fewer than `k`
@@ -162,56 +85,254 @@ pub fn constrained_skyline(tuples: &[Tuple], constraint: &Rect) -> Vec<Tuple> {
 }
 
 /// Folds the tuples of `add` into the skyline `base` (which must already be
-/// a skyline — no member dominating another).
+/// a skyline — no member dominating another); `add` may be any tuple set.
 ///
-/// Equivalent to `skyline(base ∪ add)` but `O(|base|·|add| + |add|²)`
-/// instead of re-deriving from scratch — the shape the per-peer state
-/// merges of distributed processing need, where `base` is a large
-/// accumulated skyline and `add` a small local one.
-pub fn skyline_insert(mut base: Vec<Tuple>, add: &[Tuple]) -> Vec<Tuple> {
+/// Equals `skyline(base ∪ add)` as a set: it thins `add` to its skyline
+/// once, then runs the [`Skyline::union`] merge — the surviving `base`
+/// members in `base` order, then the surviving additions in canonical
+/// order.
+pub fn skyline_insert(base: Vec<Tuple>, add: &[Tuple]) -> Vec<Tuple> {
     if add.is_empty() {
         return base;
     }
-    // thin the additions against each other first
-    let add_sky = skyline(add);
-    // drop base members dominated by an addition (in place — no realloc)
-    base.retain(|b| !add_sky.iter().any(|a| dominates(&a.point, &b.point)));
-    // keep additions not dominated by (nor duplicating) the surviving base
-    for a in add_sky {
-        if !base
-            .iter()
-            .any(|b| dominates(&b.point, &a.point) || b.point == a.point)
-        {
-            base.push(a);
-        }
-    }
-    base
+    let sums = base.iter().map(coord_sum).collect();
+    let base = Skyline {
+        members: base,
+        sums,
+    };
+    base.union(&Skyline::of(add)).into_vec()
 }
 
-/// [`skyline_insert`] over a *borrowed* base: builds the merged skyline
-/// directly, cloning only the surviving members (a reference-count bump per
-/// tuple). This is the shape `computeGlobalState` needs — the caller must
-/// keep its global state, so an owned `skyline_insert` would force a full
-/// clone of `base` up front even though some members are then discarded.
-pub fn skyline_insert_ref(base: &[Tuple], add: &[Tuple]) -> Vec<Tuple> {
-    if add.is_empty() {
-        return base.to_vec();
+/// The left-fold coordinate sum: the SFS presort key.
+fn coord_sum(t: &Tuple) -> f64 {
+    t.point.coords().iter().sum()
+}
+
+/// A skyline state: member tuples, none dominating or equal to another,
+/// each stored with its left-fold coordinate sum.
+///
+/// Only skyline-producing operations build one ([`of`](Skyline::of),
+/// [`from_keyed`](Skyline::from_keyed), [`fold`](Skyline::fold),
+/// [`thin`](Skyline::thin) and [`union`](Skyline::union)), so "is already
+/// a skyline" is never re-checked at run time. It dereferences to its
+/// members, in the order the producing operation defines.
+///
+/// The sums bound every dominance scan. If `a` dominates `b` then
+/// `sum(a) ≤ sum(b)` — the presorting fact of SFS (Chomicki et al., ICDE
+/// 2003), which holds for float left-fold sums too because rounding is
+/// monotone — and equal points have equal sums. A search for a member that
+/// dominates or equals `b` can stop at the first member, in ascending sum
+/// order, whose sum exceeds `sum(b)`. Coordinates are assumed non-NaN.
+#[derive(Clone, Debug, Default)]
+pub struct Skyline {
+    members: Vec<Tuple>,
+    sums: Vec<f64>,
+}
+
+impl Deref for Skyline {
+    type Target = [Tuple];
+
+    fn deref(&self) -> &[Tuple] {
+        &self.members
     }
-    let add_sky = skyline(add);
-    let mut out: Vec<Tuple> = base
-        .iter()
-        .filter(|b| !add_sky.iter().any(|a| dominates(&a.point, &b.point)))
-        .cloned()
-        .collect();
-    for a in add_sky {
-        if !out
-            .iter()
-            .any(|b| dominates(&b.point, &a.point) || b.point == a.point)
-        {
-            out.push(a);
+}
+
+impl Skyline {
+    /// The skyline of `tuples` in canonical order: ascending
+    /// `(coordinate sum, id)`, exact duplicates represented by their
+    /// minimum id.
+    pub fn of(tuples: &[Tuple]) -> Skyline {
+        Self::from_keyed(tuples.iter().map(|t| (coord_sum(t), t)).collect())
+    }
+
+    /// [`of`](Skyline::of) over `(coordinate sum, tuple)` candidates whose
+    /// sums the caller computed — e.g. from a block's columns. Each sum must
+    /// be bit-identical to the left fold `coords().iter().sum()`.
+    ///
+    /// Sorting by sum first guarantees that a tuple can only be dominated by
+    /// one that precedes it in the scan, so a single forward pass over a
+    /// growing window suffices (the classic SFS algorithm).
+    pub fn from_keyed(mut cand: Vec<(f64, &Tuple)>) -> Skyline {
+        cand.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.id.cmp(&b.1.id)));
+        let mut sky = Skyline::default();
+        // The members' coordinates, flat, so the window scan stays in one
+        // allocation.
+        let mut window: Vec<f64> = Vec::new();
+        for (sum, t) in cand {
+            let p = t.point.coords();
+            // Equal points: keep only the first representative.
+            if !window
+                .chunks_exact(p.len())
+                .any(|m| kernels::dominates_raw(KernelDispatch::Auto, m, p) || m == p)
+            {
+                window.extend_from_slice(p);
+                sky.push(sum, t.clone());
+            }
+        }
+        sky
+    }
+
+    /// The members' coordinate sums, in member order.
+    pub fn sums(&self) -> &[f64] {
+        &self.sums
+    }
+
+    /// The members, in order.
+    pub fn into_vec(self) -> Vec<Tuple> {
+        self.members
+    }
+
+    fn push(&mut self, sum: f64, t: Tuple) {
+        self.sums.push(sum);
+        self.members.push(t);
+    }
+
+    /// Folds one tuple (with its coordinate sum precomputed by the caller —
+    /// e.g. a whole block at a time via [`crate::kernels::coord_sums`]) into
+    /// the skyline. On a skyline in canonical order this preserves exactly
+    /// the set, order and duplicate representatives [`of`](Skyline::of)
+    /// would produce, so folding any tuple sequence from an empty skyline
+    /// *is* that recompute; incremental maintainers (the peer store) and
+    /// blocked scans share this one implementation. On any other order the
+    /// result is still a skyline.
+    pub fn fold(&mut self, t: &Tuple, sum: f64) {
+        // Only members with a sum at or below `t`'s can dominate or equal it.
+        let hit = (0..self.len()).find(|&i| {
+            let m = &self.members[i].point;
+            self.sums[i] <= sum && (dominates(m, &t.point) || *m == t.point)
+        });
+        if let Some(i) = hit {
+            if self.members[i].point == t.point && t.id < self.members[i].id {
+                // `of` keeps the min-id representative of an exact
+                // duplicate; replace and reposition within the equal-sum
+                // block.
+                self.members.remove(i);
+                self.sums.remove(i);
+                self.insert_canonical(sum, t.clone());
+            }
+            return;
+        }
+        // `t` enters the skyline: evict the members it dominates (all have
+        // a larger sum) and insert at the canonical spot.
+        self.retain(|m, s| s <= sum || !dominates(&t.point, &m.point));
+        self.insert_canonical(sum, t.clone());
+    }
+
+    /// Inserts at the canonical `(sum, id)` position of a canonical-order
+    /// skyline.
+    fn insert_canonical(&mut self, sum: f64, t: Tuple) {
+        let lo = self.sums.partition_point(|s| s.total_cmp(&sum).is_lt());
+        let pos = lo
+            + (lo..self.len())
+                .take_while(|&i| self.sums[i].total_cmp(&sum).is_eq() && self.members[i].id < t.id)
+                .count();
+        self.sums.insert(pos, sum);
+        self.members.insert(pos, t);
+    }
+
+    /// Keeps the members `keep(member, sum)` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&Tuple, f64) -> bool) {
+        let kept: Vec<bool> = (0..self.len())
+            .map(|i| keep(&self.members[i], self.sums[i]))
+            .collect();
+        let mut k = kept.iter();
+        self.members
+            .retain(|_| *k.next().expect("one verdict per member"));
+        let mut k = kept.iter();
+        self.sums
+            .retain(|_| *k.next().expect("one verdict per member"));
+    }
+
+    /// The members no member of `by` dominates — Algorithm 10's thinning by
+    /// the global state. A subset of a skyline is a skyline; the order is
+    /// kept.
+    pub fn thin(mut self, by: &Skyline) -> Skyline {
+        if !by.is_empty() {
+            let by = SumOrdered::new(by, &by.canonical_order());
+            self.retain(|m, s| !by.covers(m.point.coords(), s, false));
+        }
+        self
+    }
+
+    /// The skyline of `self ∪ other` — the merge of Algorithms 11 and 13.
+    ///
+    /// Member for member the two-filter definition: the members of `self`
+    /// that no member of `other` dominates, in `self`'s order, then the
+    /// members of `other` in canonical `(sum, id)` order that no surviving
+    /// member of `self` dominates or equals (so an exact duplicate keeps its
+    /// `self` representative). Neither side is re-thinned — both are
+    /// skylines already — and each member is tested only against the other
+    /// side's members whose sums are at or below its own.
+    pub fn union(&self, other: &Skyline) -> Skyline {
+        if other.is_empty() {
+            return self.clone();
+        }
+        let add_order = other.canonical_order();
+        let add = SumOrdered::new(other, &add_order);
+        let mut out = Skyline::default();
+        for (m, &s) in self.members.iter().zip(&self.sums) {
+            if !add.covers(m.point.coords(), s, false) {
+                out.push(s, m.clone());
+            }
+        }
+        let base = SumOrdered::new(&out, &out.canonical_order());
+        for i in add_order {
+            let (m, s) = (&other.members[i], other.sums[i]);
+            if !base.covers(m.point.coords(), s, true) {
+                out.push(s, m.clone());
+            }
+        }
+        out
+    }
+
+    /// Member indices in canonical `(sum, id)` order. The sort is stable,
+    /// so it matches [`of`](Skyline::of)'s tie handling, and an
+    /// already-canonical skyline costs one pass.
+    fn canonical_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_by(|&a, &b| {
+            self.sums[a]
+                .total_cmp(&self.sums[b])
+                .then_with(|| self.members[a].id.cmp(&self.members[b].id))
+        });
+        order
+    }
+}
+
+/// One side of a merge, flattened in ascending sum order: contiguous sums
+/// and coordinates, so a scan touches no shared point storage and stops at
+/// the first member whose sum exceeds the probe's.
+struct SumOrdered {
+    sums: Vec<f64>,
+    coords: Vec<f64>,
+    dims: usize,
+}
+
+impl SumOrdered {
+    fn new(sky: &Skyline, order: &[usize]) -> Self {
+        let dims = sky.first().map_or(1, |t| t.point.dims());
+        let mut coords = Vec::with_capacity(order.len() * dims);
+        for &i in order {
+            coords.extend_from_slice(sky.members[i].point.coords());
+        }
+        Self {
+            sums: order.iter().map(|&i| sky.sums[i]).collect(),
+            coords,
+            dims,
         }
     }
-    out
+
+    /// True if a member dominates `p` (whose coordinate sum is `sum`) or,
+    /// with `or_equal`, equals it.
+    fn covers(&self, p: &[f64], sum: f64, or_equal: bool) -> bool {
+        self.coords
+            .chunks_exact(self.dims)
+            .zip(&self.sums)
+            .take_while(|&(_, &s)| s <= sum)
+            .any(|(m, _)| {
+                kernels::dominates_raw(KernelDispatch::Auto, m, p) || (or_equal && m == p)
+            })
+    }
 }
 
 #[cfg(test)]
@@ -304,10 +425,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_skyline_of_union() {
+    fn union_equals_skyline_of_union() {
         let a = vec![t(1, &[0.1, 0.9]), t(2, &[0.8, 0.8])];
         let b = vec![t(3, &[0.2, 0.2]), t(4, &[0.9, 0.05])];
-        let merged = skyline_merge([a.clone(), b.clone()]);
+        let merged = Skyline::of(&a).union(&Skyline::of(&b));
         let mut union = a;
         union.extend(b);
         let direct = skyline(&union);
@@ -381,13 +502,11 @@ mod tests {
             .collect();
         data.push(Tuple::new(990, data[3].point.coords().to_vec()));
         data.insert(0, Tuple::new(991, data[7].point.coords().to_vec()));
-        let mut folded: Vec<(f64, Tuple)> = Vec::new();
+        let mut folded = Skyline::default();
         for t in &data {
-            let sum: f64 = t.point.coords().iter().sum();
-            skyline_fold(&mut folded, t, sum);
+            folded.fold(t, coord_sum(t));
         }
-        let folded: Vec<Tuple> = folded.into_iter().map(|(_, t)| t).collect();
-        assert_eq!(folded, skyline(&data));
+        assert_eq!(folded.into_vec(), skyline(&data));
     }
 
     #[test]
@@ -475,7 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_ref_matches_owned_insert() {
+    fn union_matches_owned_insert() {
         let base = skyline(&[t(1, &[0.1, 0.9]), t(2, &[0.9, 0.1]), t(3, &[0.5, 0.5])]);
         for add in [
             vec![],
@@ -483,7 +602,7 @@ mod tests {
             vec![t(12, &[0.3, 0.6]), t(13, &[0.6, 0.3])],
         ] {
             assert_eq!(
-                skyline_insert_ref(&base, &add),
+                Skyline::of(&base).union(&Skyline::of(&add)).into_vec(),
                 skyline_insert(base.clone(), &add)
             );
         }

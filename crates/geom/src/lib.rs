@@ -38,8 +38,7 @@ pub mod zorder;
 
 pub use diversity::{DiversityQuery, SetStats};
 pub use dominance::{
-    constrained_skyline, dominates, dominates_rect, skyband, skyline, skyline_fold, skyline_insert,
-    skyline_merge,
+    constrained_skyline, dominates, dominates_rect, skyband, skyline, skyline_insert, Skyline,
 };
 pub use kernels::KernelDispatch;
 pub use norm::Norm;

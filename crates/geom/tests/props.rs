@@ -6,7 +6,7 @@
 
 use ripple_geom::kdspace::BitPath;
 use ripple_geom::zorder::ZCurve;
-use ripple_geom::{dominance, Norm, Point, Rect, Tuple};
+use ripple_geom::{dominance, Norm, Point, Rect, Skyline, Tuple};
 
 /// Minimal deterministic generator (splitmix64).
 struct Gen(u64);
@@ -146,6 +146,106 @@ fn skyline_insert_equivalence() {
         assert_eq!(merged.len(), direct.len());
         for m in &merged {
             assert!(direct.iter().any(|d| d.point == m.point));
+        }
+    }
+}
+
+/// The two-filter, all-pairs skyline merge, written out as the reference
+/// for [`Skyline::union`]: sort `add` by `(coordinate sum, id)` and thin it
+/// by SFS, keep the `base` members no addition dominates (in `base` order),
+/// then append each thinned addition that no kept member dominates or
+/// equals.
+fn union_reference(base: &[Tuple], add: &[Tuple]) -> Vec<Tuple> {
+    if add.is_empty() {
+        return base.to_vec();
+    }
+    let add_sky = sfs_reference(add);
+    let mut out: Vec<Tuple> = base
+        .iter()
+        .filter(|b| {
+            !add_sky
+                .iter()
+                .any(|a| dominance::dominates(&a.point, &b.point))
+        })
+        .cloned()
+        .collect();
+    for a in add_sky {
+        if !out
+            .iter()
+            .any(|b| dominance::dominates(&b.point, &a.point) || b.point == a.point)
+        {
+            out.push(a);
+        }
+    }
+    out
+}
+
+/// Sort-filter-skyline with the comparator recomputing both sums.
+fn sfs_reference(tuples: &[Tuple]) -> Vec<Tuple> {
+    let sum = |t: &Tuple| -> f64 { t.point.coords().iter().sum() };
+    let mut order: Vec<&Tuple> = tuples.iter().collect();
+    order.sort_by(|a, b| sum(a).total_cmp(&sum(b)).then_with(|| a.id.cmp(&b.id)));
+    let mut sky: Vec<Tuple> = Vec::new();
+    for t in order {
+        if !sky
+            .iter()
+            .any(|s| dominance::dominates(&s.point, &t.point) || s.point == t.point)
+        {
+            sky.push(t.clone());
+        }
+    }
+    sky
+}
+
+/// `Skyline::union` is member-for-member and in order the two-filter
+/// reference, and `Skyline::of` is `dominance::skyline`. Coordinates sit on
+/// coarse grids, so sum ties, exact duplicates (within and across sides)
+/// and equal-sum distinct points all occur; both sides are also built by
+/// unions, so they arrive in non-canonical order; dims 2–9 cover both sides
+/// of the 8-dimension SIMD cutover in the dominance kernel.
+#[test]
+fn skyline_union_equals_reference() {
+    for seed in 0..400 {
+        let mut g = Gen::new(9000 + seed);
+        let dims = g.usize_in(2, 10);
+        let grid = [2, 4, 8][g.usize_in(0, 3)] as f64;
+        let mut next_id = 0u64;
+        let mut pool: Vec<Tuple> = Vec::new();
+        let mut part = |g: &mut Gen| -> Vec<Tuple> {
+            (0..g.usize_in(0, 25))
+                .map(|_| {
+                    next_id += 1;
+                    if !pool.is_empty() && g.usize_in(0, 5) == 0 {
+                        // An exact duplicate of an earlier tuple, new id.
+                        let p = pool[g.usize_in(0, pool.len())].point.clone();
+                        return Tuple::new(next_id, p);
+                    }
+                    let c: Vec<f64> = (0..dims)
+                        .map(|_| (g.next_u64() % (grid as u64 + 1)) as f64 / grid)
+                        .collect();
+                    let t = Tuple::new(next_id, c);
+                    pool.push(t.clone());
+                    t
+                })
+                .collect()
+        };
+        let (b1, b2, a1, a2) = (part(&mut g), part(&mut g), part(&mut g), part(&mut g));
+        for x in [&b1, &b2, &a1, &a2] {
+            let sky = Skyline::of(x);
+            assert_eq!(&sky[..], &dominance::skyline(x)[..], "seed {seed}");
+            assert_eq!(&sky[..], &sfs_reference(x)[..], "seed {seed}");
+        }
+        let base = Skyline::of(&b1).union(&Skyline::of(&b2));
+        let add = Skyline::of(&a1).union(&Skyline::of(&a2));
+        assert_eq!(
+            &base[..],
+            &union_reference(&Skyline::of(&b1), &Skyline::of(&b2))[..],
+            "seed {seed}"
+        );
+        for b in [&base, &Skyline::default()] {
+            for a in [&add, &Skyline::of(&a1), &Skyline::default()] {
+                assert_eq!(&b.union(a)[..], &union_reference(b, a)[..], "seed {seed}");
+            }
         }
     }
 }

@@ -46,7 +46,7 @@
 use crate::block::{BlockEntry, BlockSet, RunData, BLOCK_ROWS};
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::scan;
-use ripple_geom::{dominance, kernels, KernelDispatch, Point, Tuple, TupleId};
+use ripple_geom::{kernels, KernelDispatch, Point, Skyline, Tuple, TupleId};
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -153,9 +153,9 @@ pub struct PeerStore {
     id_counts: FxHashMap<TupleId, u32>,
     /// Cumulative write-path effort.
     ingest: IngestCounters,
-    /// The local skyline in canonical order, as `(coordinate sum, tuple)`.
-    /// `None` until first requested or after an invalidating removal.
-    skyline: RwLock<Option<Vec<(f64, Tuple)>>>,
+    /// The local skyline in canonical order. `None` until first requested
+    /// or after an invalidating removal.
+    skyline: RwLock<Option<Skyline>>,
     /// The columnar snapshot of the current generation, built on first use.
     blocks: OnceLock<BlockSet>,
 }
@@ -178,13 +178,6 @@ impl Clone for PeerStore {
 
 fn coord_sum(p: &Point) -> f64 {
     p.coords().iter().sum()
-}
-
-/// Folds one tuple into a canonical skyline, preserving exactly the set and
-/// order a full [`dominance::skyline`] recompute would produce (the shared
-/// implementation lives in [`dominance::skyline_fold`]).
-fn skyline_fold(members: &mut Vec<(f64, Tuple)>, t: &Tuple) {
-    dominance::skyline_fold(members, t, coord_sum(&t.point));
 }
 
 impl PeerStore {
@@ -241,8 +234,8 @@ impl PeerStore {
     /// Appends one tuple to the memtable, maintaining the eager caches.
     /// Callers bump the generation and trigger freezing.
     fn stage(&mut self, t: Tuple) {
-        if let Some(members) = self.skyline.get_mut().expect("peer cache poisoned") {
-            skyline_fold(members, &t);
+        if let Some(sky) = self.skyline.get_mut().expect("peer cache poisoned") {
+            sky.fold(&t, coord_sum(&t.point));
         }
         *self.id_counts.entry(t.id).or_insert(0) += 1;
         self.ingest.rows_ingested += 1;
@@ -388,8 +381,8 @@ impl PeerStore {
     /// cache exact.
     fn invalidate_skyline_if_member_removed(&mut self, moved: &[Tuple]) {
         let skyline = self.skyline.get_mut().expect("peer cache poisoned");
-        if let Some(members) = skyline {
-            let member_ids: HashSet<TupleId> = members.iter().map(|(_, m)| m.id).collect();
+        if let Some(sky) = skyline {
+            let member_ids: HashSet<TupleId> = sky.iter().map(|m| m.id).collect();
             if moved.iter().any(|t| member_ids.contains(&t.id)) {
                 *skyline = None;
             }
@@ -504,7 +497,7 @@ impl PeerStore {
         self.runs.clear();
         self.frozen_live = 0;
         self.id_counts.clear();
-        *self.skyline.get_mut().expect("peer cache poisoned") = Some(Vec::new());
+        *self.skyline.get_mut().expect("peer cache poisoned") = Some(Skyline::default());
         std::mem::take(&mut self.tuples)
     }
 
@@ -515,7 +508,7 @@ impl PeerStore {
     }
 
     /// The local skyline of the stored tuples, in the canonical order of
-    /// [`dominance::skyline`] (ascending coordinate sum, ties by id; exact
+    /// [`Skyline::of`] (ascending coordinate sum, ties by id; exact
     /// duplicates represented by their minimum id).
     ///
     /// Built once, then maintained incrementally across inserts and
@@ -533,34 +526,31 @@ impl PeerStore {
     /// identical canonical skyline (dominated rows fold to no-ops and
     /// kernel sums are bit-identical), so which rebuild ran is unobservable.
     pub fn skyline(&self) -> Vec<Tuple> {
-        self.skyline_at(KernelDispatch::Auto)
+        self.skyline_at(KernelDispatch::Auto).into_vec()
     }
 
-    /// [`skyline`](PeerStore::skyline) with an explicit kernel dispatch arm
-    /// for any rebuild the call triggers. Bit-identical results either way
-    /// (the kernel contract); the equivalence suites use the forced arms.
-    pub fn skyline_at(&self, dispatch: KernelDispatch) -> Vec<Tuple> {
+    /// [`skyline`](PeerStore::skyline) as a [`Skyline`] state (members
+    /// with their coordinate sums), with an explicit kernel dispatch arm for
+    /// any rebuild the call triggers. Bit-identical results either way (the
+    /// kernel contract); the equivalence suites use the forced arms.
+    pub fn skyline_at(&self, dispatch: KernelDispatch) -> Skyline {
         {
             let skyline = self.skyline.read().expect("peer cache poisoned");
-            if let Some(members) = &*skyline {
-                return members.iter().map(|(_, t)| t.clone()).collect();
+            if let Some(sky) = &*skyline {
+                return sky.clone();
             }
         }
         let mut skyline = self.skyline.write().expect("peer cache poisoned");
-        if skyline.is_none() {
-            let members = if let Some(blocks) = self.blocks.get() {
-                Self::blocked_skyline(blocks, dispatch)
-            } else {
-                scan::add_scanned(self.tuples.len() as u64);
-                dominance::skyline(&self.tuples)
-                    .into_iter()
-                    .map(|t| (coord_sum(&t.point), t))
-                    .collect()
-            };
-            *skyline = Some(members);
-        }
-        let members = skyline.as_ref().expect("just built");
-        members.iter().map(|(_, t)| t.clone()).collect()
+        skyline
+            .get_or_insert_with(|| {
+                if let Some(blocks) = self.blocks.get() {
+                    Self::blocked_skyline(blocks, dispatch)
+                } else {
+                    scan::add_scanned(self.tuples.len() as u64);
+                    Skyline::of(&self.tuples)
+                }
+            })
+            .clone()
     }
 
     /// The columnar (structure-of-arrays) snapshot of this store at the
@@ -608,15 +598,15 @@ impl PeerStore {
     }
 
     /// Skyline rebuild over the columnar snapshot. Produces exactly the
-    /// canonical `(sum, tuple)` members a [`dominance::skyline`] recompute
-    /// would: folding live rows in store order from an empty skyline is the
-    /// recompute (the fold preserves set and order, property-tested under
-    /// churn), and a skipped block contains only rows strictly dominated by
-    /// an already-folded member — each of which folds to a no-op. Masked
+    /// canonical members a [`Skyline::of`] recompute would: folding live
+    /// rows in store order from an empty skyline is the recompute (the fold
+    /// preserves set and order, property-tested under churn), and a skipped
+    /// block contains only rows strictly dominated by an already-folded
+    /// member — each of which folds to a no-op. Masked
     /// rows are skipped at emission; the run bounds are superset bounds, so
     /// the corner prune stays conservative.
-    fn blocked_skyline(blocks: &BlockSet, dispatch: KernelDispatch) -> Vec<(f64, Tuple)> {
-        let mut members: Vec<(f64, Tuple)> = Vec::new();
+    fn blocked_skyline(blocks: &BlockSet, dispatch: KernelDispatch) -> Skyline {
+        let mut sky = Skyline::default();
         let mut buf = Vec::new();
         let mut sums = Vec::new();
         for b in 0..blocks.num_blocks() {
@@ -624,11 +614,13 @@ impl PeerStore {
             // minimum row sum can dominate its min corner (a dominator is
             // coordinate-wise ≤ the corner, and the fp left-fold sum is
             // monotone), so the corner test scans a canonical-order prefix.
-            let prefix = members.partition_point(|(s, _)| *s <= blocks.block_min_sum(b));
+            let prefix = sky
+                .sums()
+                .partition_point(|s| *s <= blocks.block_min_sum(b));
             let corner = blocks.block_min(b);
-            if members[..prefix]
+            if sky[..prefix]
                 .iter()
-                .any(|(_, m)| kernels::dominates_raw(dispatch, m.point.coords(), corner))
+                .any(|m| kernels::dominates_raw(dispatch, m.point.coords(), corner))
             {
                 scan::add_pruned(1);
                 continue;
@@ -646,10 +638,10 @@ impl PeerStore {
                 if dead.is_some_and(|d| d[off]) {
                     continue;
                 }
-                dominance::skyline_fold(&mut members, t, sums[off]);
+                sky.fold(t, sums[off]);
             }
         }
-        members
+        sky
     }
 
     /// True if a tuple with this id is stored here. Answered from the
@@ -700,7 +692,7 @@ impl<'a> LocalView<'a> {
 mod tests {
     use super::*;
     use crate::scan::ScanCounts;
-    use ripple_geom::{LinearScore, ScoreFn};
+    use ripple_geom::{dominance, LinearScore, ScoreFn};
 
     fn t(id: u64, x: f64) -> Tuple {
         Tuple::new(id, vec![x, x])

@@ -23,6 +23,9 @@ cargo build --release --workspace --offline
 echo "== perfbench build (the end-to-end benchmark compiles against crates/) =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== end-to-end correctness smoke (wrong answer, failed certificate or traced/untraced mismatch exits non-zero) =="
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload dense-local --seed 1 --seconds 2 --trace 1
+
 echo "== parallel-exec smoke (sequential == parallel, thread-scaling gate) =="
 cargo run --release --offline -p ripple-bench --bin parallel_exec_bench -- --smoke
 cargo run --release --offline -p ripple-bench --bin parallel_exec_bench -- --smoke --threads 1
