@@ -25,7 +25,7 @@
 //! unaudited and audited out — lives in `verify_mutation`.
 
 use crate::exec::Executor;
-use crate::framework::{Mode, RippleOverlay};
+use crate::framework::{Mode, RankQuery, RippleOverlay};
 use crate::skyline::SkylineQuery;
 use crate::topk::TopKQuery;
 use ripple_geom::{LinearScore, Rect, Tuple};
@@ -142,27 +142,35 @@ fn auditing_is_bit_invisible_with_corruption_off() {
 }
 
 /// Contract 2: an *active* corruption plane is handled identically by the
-/// sequential and parallel engines. Runs on twin overlays built from the
-/// same seed, because each audited run flushes its verdicts into its own
-/// overlay's quarantine registry — sharing one overlay would let the first
-/// run's quarantine leak into the second's snapshot.
+/// sequential and parallel engines, for top-k and skyline, on healthy
+/// overlays and on crash-damaged replicated ones. The damaged case is where
+/// a forked branch re-answers an audited-out peer from a replica or
+/// rewrites its scanned tile as unreachable (`audit_recover`). Runs on twin
+/// overlays built from the same seed, because each audited run flushes its
+/// verdicts into its own overlay's quarantine registry — sharing one
+/// overlay would let the first run's quarantine leak into the second's
+/// snapshot.
 #[test]
 fn corruption_handling_is_identical_sequential_and_parallel() {
-    for seed in [93u64, 94] {
-        let (net_seq, mut rng) = loaded_net(2, 48, 600, seed);
-        let q = TopKQuery::new(LinearScore::uniform(2), 10);
-        let plane = CorruptionPlane::flat(0.35, 19);
+    fn compare<Q>(build: &dyn Fn() -> (MidasNetwork, SmallRng), plane: FaultPlane, q: &Q)
+    where
+        Q: RankQuery<Rect> + Sync,
+        Q::Global: Send + Sync,
+        Q::Local: Send,
+    {
+        let corruption = CorruptionPlane::flat(0.35, 19);
+        let (net, mut rng) = build();
         for mode in MODES {
             for threads in THREADS {
-                let (net_par, _) = loaded_net(2, 48, 600, seed);
-                let initiator = net_seq.random_peer(&mut rng);
-                let (fresh_seq, _) = loaded_net(2, 48, 600, seed);
-                let seq = Executor::with_faults(&fresh_seq, FaultPlane::none(), 7)
-                    .with_corruption(plane)
-                    .run(initiator, &q, mode);
-                let par = Executor::with_faults(&net_par, FaultPlane::none(), 7)
-                    .with_corruption(plane)
-                    .run_parallel(initiator, &q, mode, threads);
+                let initiator = net.random_peer(&mut rng);
+                let (net_seq, _) = build();
+                let (net_par, _) = build();
+                let seq = Executor::with_faults(&net_seq, plane, 7)
+                    .with_corruption(corruption)
+                    .run(initiator, q, mode);
+                let par = Executor::with_faults(&net_par, plane, 7)
+                    .with_corruption(corruption)
+                    .run_parallel(initiator, q, mode, threads);
                 assert_eq!(seq.answers, par.answers, "[{mode:?}, {threads}t] answers");
                 assert_eq!(seq.metrics, par.metrics, "[{mode:?}, {threads}t] ledger");
                 assert_eq!(
@@ -174,13 +182,28 @@ fn corruption_handling_is_identical_sequential_and_parallel() {
                     "[{mode:?}, {threads}t] certificate"
                 );
                 assert_eq!(
-                    fresh_seq.quarantine().quarantined(),
+                    net_seq.quarantine().quarantined(),
                     net_par.quarantine().quarantined(),
                     "[{mode:?}, {threads}t] both engines quarantine the same peers"
                 );
             }
         }
     }
+
+    let topk = TopKQuery::new(LinearScore::uniform(2), 10);
+    for seed in [93u64, 94] {
+        compare(&|| loaded_net(2, 48, 600, seed), FaultPlane::none(), &topk);
+    }
+    // A crashed overlay needs a crash-aware plane (see contract 1).
+    let crash_aware = FaultPlane {
+        crash_fraction: 1.0,
+        timeout_hops: 2,
+        max_retries: 1,
+        seed: 3,
+        ..FaultPlane::none()
+    };
+    compare(&|| damaged_net(96), crash_aware, &topk);
+    compare(&|| damaged_net(96), crash_aware, &SkylineQuery::new());
 }
 
 /// The worst-case liveness property: 100% corruption and not a single

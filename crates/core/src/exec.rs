@@ -54,9 +54,14 @@
 //! * duplicate-visit detection runs against a [`ShardedVisited`] set whose
 //!   total anomaly count (`visits − distinct peers`) is schedule-free.
 //!
-//! `slow` is semantically sequential (each link waits for the previous
-//! state response) and always runs on the caller; `ripple(r)` runs its slow
-//! phase sequentially and parallelises the fast phase below the hop budget.
+//! Both engines run one set of templates — `fast`, `ripple` and
+//! `broadcast`, each written once against a private fan-out trait. The
+//! sequential fan walks a peer's relevant links inline; the parallel fan
+//! forks one pool task per link once a peer has two or more. `slow` is
+//! `ripple(∞)`: the same template with a hop budget no walk exhausts. Its
+//! links wait for each other's state responses, so it never forks and runs
+//! on the caller in both engines; `ripple(r)` forks only in its fast phase
+//! below the budget.
 
 use crate::framework::{Coverage, Mode, QueryOutcome, RankQuery, RippleOverlay};
 use ripple_geom::{neumaier, KernelDispatch, Tuple};
@@ -64,11 +69,12 @@ use ripple_net::hash::{fx_set_with_capacity, FxHashSet};
 use ripple_net::pool::{self, Pool};
 use ripple_net::{
     scan, BranchLedger, CorruptionMode, CorruptionPlane, CorruptionSession, FaultPlane,
-    FaultSession, LocalView, PeerId, QuarantineSnapshot, QueryMetrics, ShardedVisited,
+    FaultSession, LocalView, PeerId, QuarantineSnapshot, QueryMetrics, ReplicaSet, ShardedVisited,
 };
 use ripple_verify::{
     audit_response, audit_witness, CertRegion, Certificate, PruneWitness, ResponseEnvelope,
 };
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// The local answer a failover adopter computes *on behalf of* a dead peer
@@ -163,40 +169,6 @@ pub struct Executor<'a, O> {
     /// ablation arm that demonstrates poisoning: corrupted responses land
     /// in the final answer unchallenged.
     audit: bool,
-}
-
-/// The mutable state threaded through one *sequential* execution.
-struct RunState<'q, Q> {
-    query: &'q Q,
-    /// Cost counters, visit trace, answer stream and abandoned volumes —
-    /// the same ledger shape the parallel engine reduces per branch.
-    ledger: BranchLedger,
-    visited: FxHashSet<PeerId>,
-    sess: QuerySession,
-}
-
-/// Everything a *parallel* execution shares across worker threads. Built
-/// before the pool scope opens so tasks can borrow it for the scope's
-/// lifetime; holds no per-branch mutable state (branches own their
-/// [`BranchLedger`]s, and [`FaultSession`] decisions are keyed, not drawn).
-struct ParCtx<'a, O, Q> {
-    exec: &'a Executor<'a, O>,
-    query: &'a Q,
-    visited: ShardedVisited,
-    sess: QuerySession,
-    trace: bool,
-    certs: bool,
-}
-
-impl<O: RippleOverlay, Q> ParCtx<'_, O, Q> {
-    /// Marks a peer visited (the parallel twin of [`Executor::visit`]): the
-    /// sharded set makes the *total* duplicate count schedule-independent.
-    fn visit(&self, peer: PeerId, ledger: &mut BranchLedger) {
-        if !self.visited.insert(peer) {
-            ledger.metrics.duplicate_visits += 1;
-        }
-        ledger.metrics.visit(peer);
-    }
 }
 
 impl<'a, O: RippleOverlay> Executor<'a, O> {
@@ -301,10 +273,14 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
         self.net
     }
 
-    /// Opens one query's immutable fault/corruption/quarantine session on
-    /// this executor's stream.
-    fn session(&self, initiator: PeerId) -> QuerySession {
-        QuerySession {
+    /// Opens one query's walk from `initiator`, with its immutable
+    /// fault/corruption/quarantine session on this executor's stream.
+    fn walk<'s, Q>(&'s self, initiator: PeerId, query: &'s Q) -> Walk<'s, O, Q> {
+        assert!(
+            self.net.is_peer_live(initiator),
+            "query initiated at a crashed peer {initiator}"
+        );
+        let sess = QuerySession {
             faults: self.plane.session(self.stream),
             corrupt: self.corruption.session(self.stream),
             initiator,
@@ -313,19 +289,48 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
                 .quarantine()
                 .map(|q| q.snapshot())
                 .unwrap_or_default(),
+        };
+        Walk {
+            exec: self,
+            query,
+            sess,
         }
     }
 
-    /// Flushes a finished query's merged audit verdicts into the overlay's
-    /// quarantine registry (tainted-wins per peer, order-free), crediting
-    /// newly quarantined peers to the ledger. A no-op for clean runs and
-    /// for overlays without a registry.
-    fn flush_audits(&self, ledger: &mut BranchLedger) {
-        if ledger.audits.is_empty() {
-            return;
-        }
-        if let Some(q) = self.net.quarantine() {
+    /// An empty ledger for the walk or one of its forked branches.
+    fn ledger(&self) -> BranchLedger {
+        BranchLedger::with_certificates(self.trace, self.certificates)
+    }
+
+    /// Closes a finished walk into its outcome. The merged audit verdicts
+    /// are flushed into the overlay's quarantine registry (tainted-wins per
+    /// peer, order-free), crediting newly quarantined peers to the ledger;
+    /// the absolute abandoned volumes become the outcome's [`Coverage`]; and
+    /// the tile stream is sealed into its [`Certificate`], stamped with the
+    /// overlay's snapshot generation.
+    fn finish<L>(&self, state: L, latency: u64, mut ledger: BranchLedger) -> QueryOutcome<L> {
+        if let Some(q) = self.net.quarantine().filter(|_| !ledger.audits.is_empty()) {
             ledger.metrics.quarantined_peers += q.apply(&ledger.audits);
+        }
+        let mut metrics = ledger.metrics;
+        metrics.latency = latency;
+        let full_vol = self.net.region_volume(&self.net.full_region());
+        let coverage = if ledger.unreachable.is_empty() {
+            Coverage::full()
+        } else {
+            Coverage::from_unreachable(ledger.unreachable.iter().map(|v| v / full_vol).collect())
+        };
+        let certificate = ledger.cert.map(|regions| Certificate {
+            generation: self.net.snapshot_generation(),
+            domain_volume: full_vol,
+            regions,
+        });
+        QueryOutcome {
+            answers: ledger.answers,
+            state,
+            metrics,
+            coverage,
+            certificate,
         }
     }
 
@@ -339,16 +344,6 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
             LocalView::Indexed(store, _) => LocalView::Indexed(store, self.dispatch),
             view => view,
         }
-    }
-
-    /// Turns the absolute abandoned volumes of a finished execution into
-    /// the outcome's [`Coverage`].
-    fn coverage_of(&self, unreachable: &[f64]) -> Coverage {
-        if unreachable.is_empty() {
-            return Coverage::full();
-        }
-        let full_vol = self.net.region_volume(&self.net.full_region());
-        Coverage::from_unreachable(unreachable.iter().map(|v| v / full_vol).collect())
     }
 
     /// Records the *zone* tile of a visited peer: the part of its
@@ -427,55 +422,21 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
         ledger.certify(|| entry);
     }
 
-    /// Seals a finished execution's tile stream into the outcome's
-    /// [`Certificate`], stamped with the overlay's snapshot generation.
-    fn seal_certificate(&self, regions: Option<Vec<CertRegion>>) -> Option<Certificate> {
-        regions.map(|regions| Certificate {
-            generation: self.net.snapshot_generation(),
-            domain_volume: self.net.region_volume(&self.net.full_region()),
-            regions,
-        })
-    }
-
     /// Processes `query` from `initiator` in the given mode, returning the
     /// collected answers, the initiator's final state and the cost ledger.
     pub fn run<Q>(&self, initiator: PeerId, query: &Q, mode: Mode) -> QueryOutcome<Q::Local>
     where
         Q: RankQuery<O::Region>,
     {
-        assert!(
-            self.net.is_peer_live(initiator),
-            "query initiated at a crashed peer {initiator}"
-        );
-        let mut run = RunState {
-            query,
-            ledger: BranchLedger::with_certificates(self.trace, self.certificates),
+        let seq = Seq {
+            walk: self.walk(initiator, query),
             // Worst case every peer is visited (broadcast); pre-sizing from
             // the overlay keeps the hot set from rehashing mid-query.
-            visited: fx_set_with_capacity(self.net.peer_count()),
-            sess: self.session(initiator),
+            visited: RefCell::new(fx_set_with_capacity(self.net.peer_count())),
         };
-        let full = self.net.full_region();
-        let global = query.initial_global();
-        let (state, latency) = match mode {
-            Mode::Fast => self.fast(initiator, &global, full, false, &mut run),
-            Mode::Slow => self.slow(initiator, &global, full, &mut run),
-            Mode::Ripple(0) => self.fast(initiator, &global, full, false, &mut run),
-            Mode::Ripple(r) => self.ripple(initiator, &global, full, r, &mut run),
-            Mode::Broadcast => self.broadcast(initiator, &global, full, &mut run),
-        };
-        self.flush_audits(&mut run.ledger);
-        let mut metrics = run.ledger.metrics;
-        metrics.latency = latency;
-        let coverage = self.coverage_of(&run.ledger.unreachable);
-        let certificate = self.seal_certificate(run.ledger.cert);
-        QueryOutcome {
-            answers: run.ledger.answers,
-            state,
-            metrics,
-            coverage,
-            certificate,
-        }
+        let mut ledger = self.ledger();
+        let (state, latency) = seq.start(initiator, mode, &mut ledger);
+        self.finish(state, latency, ledger)
     }
 
     /// Processes `query` like [`run`](Executor::run), but executes the
@@ -486,9 +447,9 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
     /// The outcome is **bit-identical** to the sequential one — same
     /// answers, same [`QueryMetrics`] including the visit trace, same
     /// [`Coverage`] — for every mode, fault plane and thread count; the
-    /// equivalence suite enforces this. With `threads <= 1`, or for
-    /// `Mode::Slow` (semantically sequential: every link waits for the
-    /// previous state response), this *is* the sequential engine.
+    /// equivalence suite enforces this. With `threads <= 1` this *is* the
+    /// sequential engine; `Mode::Slow` (every link waits for the previous
+    /// state response) never forks and runs on the caller.
     ///
     /// [`QueryMetrics`]: ripple_net::QueryMetrics
     pub fn run_parallel<Q>(
@@ -505,63 +466,19 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
         Q::Global: Send + Sync,
         Q::Local: Send,
     {
-        if threads <= 1 || matches!(mode, Mode::Slow) {
+        if threads <= 1 {
             return self.run(initiator, query, mode);
         }
-        assert!(
-            self.net.is_peer_live(initiator),
-            "query initiated at a crashed peer {initiator}"
-        );
         let ctx = ParCtx {
-            exec: self,
-            query,
+            walk: self.walk(initiator, query),
             visited: ShardedVisited::new(self.net.peer_count(), threads * 4),
-            sess: self.session(initiator),
-            trace: self.trace,
-            certs: self.certificates,
         };
-        let (state, latency, mut ledger) = pool::scope(threads - 1, |pool| {
-            let mut ledger = BranchLedger::with_certificates(self.trace, self.certificates);
-            let full = self.net.full_region();
-            let global = ctx.query.initial_global();
-            let (state, latency) = match mode {
-                Mode::Fast | Mode::Ripple(0) => {
-                    fast_par(&ctx, initiator, &global, full, false, pool, &mut ledger)
-                }
-                Mode::Ripple(r) => ripple_par(&ctx, initiator, &global, full, r, pool, &mut ledger),
-                Mode::Broadcast => {
-                    broadcast_par(&ctx, initiator, &Arc::new(global), full, pool, &mut ledger)
-                }
-                Mode::Slow => unreachable!("slow mode delegates to the sequential engine"),
-            };
+        let (state, latency, ledger) = pool::scope(threads - 1, |pool| {
+            let mut ledger = self.ledger();
+            let (state, latency) = Par { ctx: &ctx, pool }.start(initiator, mode, &mut ledger);
             (state, latency, ledger)
         });
-        self.flush_audits(&mut ledger);
-        let mut metrics = ledger.metrics;
-        metrics.latency = latency;
-        let coverage = self.coverage_of(&ledger.unreachable);
-        let certificate = self.seal_certificate(ledger.cert);
-        QueryOutcome {
-            answers: ledger.answers,
-            state,
-            metrics,
-            coverage,
-            certificate,
-        }
-    }
-
-    /// Marks a peer visited. The restriction areas guarantee each peer
-    /// processes a query at most once; a second visit is a correctness
-    /// anomaly, counted in [`QueryMetrics::duplicate_visits`] and surfaced
-    /// all the way into the figure CSVs rather than tolerated silently (or
-    /// audited only in debug builds, as before).
-    ///
-    /// [`QueryMetrics::duplicate_visits`]: ripple_net::QueryMetrics::duplicate_visits
-    fn visit<Q>(&self, peer: PeerId, run: &mut RunState<'_, Q>) {
-        if !run.visited.insert(peer) {
-            run.ledger.metrics.duplicate_visits += 1;
-        }
-        run.ledger.metrics.visit(peer);
+        self.finish(state, latency, ledger)
     }
 
     /// Simulates the retransmission loop of the edge `sender → target`:
@@ -607,18 +524,53 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
         }
     }
 
+    /// The overlay's replica set, when failover may answer from it: replica
+    /// recovery is on and the set holds copies at a degree `k > 0`.
+    fn replica_set(&self) -> Option<&'a ReplicaSet> {
+        self.net
+            .replicas()
+            .filter(|set| self.use_replicas && set.k() > 0 && !set.is_empty())
+    }
+
+    /// Re-answers `owner`'s zone from its replica when a live holder has
+    /// one: one forward message, the payload charged to `replica_bytes` (a
+    /// stale read when the copy lags the owner's store), and the query's
+    /// local functions run over the copy via `answer`, appended to the
+    /// ledger where the owner's own answer would land. Returns `false`,
+    /// charging nothing, when no live holder has a copy.
+    fn read_replica<F: Fn(&[Tuple]) -> Vec<Tuple>>(
+        &self,
+        set: &ReplicaSet,
+        owner: PeerId,
+        ledger: &mut BranchLedger,
+        answer: &F,
+    ) -> bool {
+        let Some(rep) = set.get(owner) else {
+            return false;
+        };
+        if !rep.holders().iter().any(|&h| self.net.is_peer_live(h)) {
+            return false;
+        }
+        ledger.metrics.forward();
+        ledger.metrics.replica_hits += 1;
+        if set.is_stale(rep) {
+            ledger.metrics.stale_reads += 1;
+        }
+        ledger.metrics.replica_bytes += rep.payload_bytes();
+        let ans = with_scan(self.trace, &mut ledger.metrics, || answer(rep.tuples()));
+        ledger.answer(ans);
+        true
+    }
+
     /// Answers the dead zones of an abandoned (part of a) restriction area
-    /// from the overlay's replica set, if one is maintained. For each dead
-    /// zone inside `region` whose owner has a fresh-enough copy on a live
-    /// holder, the adopter fetches the copy (one forward message, the
-    /// payload charged to `replica_bytes`) and runs the query's local
-    /// functions over it via `answer`, appending the result to the branch
-    /// ledger exactly where a live peer's answer would land. `kept` is the
-    /// part of the region failover *did* cover — dead zones falling inside
-    /// it will be answered by the adopted subtree itself and are skipped
-    /// here, so no tuple is recovered twice. Returns the total dead-zone
-    /// volume recovered; the caller subtracts it from the would-be
-    /// unreachable volume.
+    /// from the overlay's replica set, if one is maintained: each dead zone
+    /// inside `region` whose owner has a copy on a live holder is answered
+    /// by [`Executor::read_replica`] and certified as a replica tile. `kept`
+    /// is the part of the region failover *did* cover — dead zones falling
+    /// inside it will be answered by the adopted subtree itself and are
+    /// skipped here, so no tuple is recovered twice. Returns the total
+    /// dead-zone volume recovered; the caller subtracts it from the
+    /// would-be unreachable volume.
     ///
     /// Replica fetches add messages and bytes but no simulated hops: the
     /// adopter overlaps the fetch with the waits already charged by the
@@ -631,15 +583,9 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
         ledger: &mut BranchLedger,
         answer: &F,
     ) -> f64 {
-        if !self.use_replicas {
-            return 0.0;
-        }
-        let Some(set) = self.net.replicas() else {
+        let Some(set) = self.replica_set() else {
             return 0.0;
         };
-        if set.k() == 0 || set.is_empty() {
-            return 0.0;
-        }
         // Owners whose dead (or quarantined) zone survives in the kept
         // part: the adopted subtree recovers those itself (its own deliver
         // failures will land here again with the smaller region).
@@ -664,23 +610,9 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
             .chain(self.net.peer_zones_in(excluded, region));
         let mut recovered = 0.0;
         for (owner, vol) in candidates {
-            if downstream.contains(&owner) {
+            if downstream.contains(&owner) || !self.read_replica(set, owner, ledger, answer) {
                 continue;
             }
-            let Some(rep) = set.get(owner) else {
-                continue;
-            };
-            if !rep.holders().iter().any(|&h| self.net.is_peer_live(h)) {
-                continue;
-            }
-            ledger.metrics.forward();
-            ledger.metrics.replica_hits += 1;
-            if set.is_stale(rep) {
-                ledger.metrics.stale_reads += 1;
-            }
-            ledger.metrics.replica_bytes += rep.payload_bytes();
-            let ans = with_scan(self.trace, &mut ledger.metrics, || answer(rep.tuples()));
-            ledger.answer(ans);
             ledger.certify(|| CertRegion::Replica {
                 owner: owner.index() as u64,
                 volume: vol,
@@ -795,28 +727,15 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
                 .map(|rr| self.net.region_volume(&rr)),
         );
         let volume = self.net.region_volume(restriction) - covered;
-        if self.use_replicas {
-            if let Some(set) = self.net.replicas().filter(|s| s.k() > 0) {
-                if let Some(rep) = set.get(w) {
-                    if rep.holders().iter().any(|&h| self.net.is_peer_live(h)) {
-                        ledger.metrics.forward();
-                        ledger.metrics.replica_hits += 1;
-                        if set.is_stale(rep) {
-                            ledger.metrics.stale_reads += 1;
-                        }
-                        ledger.metrics.replica_bytes += rep.payload_bytes();
-                        let ans =
-                            with_scan(self.trace, &mut ledger.metrics, || recompute(rep.tuples()));
-                        ledger.answer(ans);
-                        if let (Some(idx), Some(cert)) = (scan_tile, ledger.cert.as_mut()) {
-                            cert[idx] = CertRegion::Replica {
-                                owner: w.index() as u64,
-                                volume,
-                            };
-                        }
-                        return;
-                    }
+        if let Some(set) = self.replica_set() {
+            if self.read_replica(set, w, ledger, recompute) {
+                if let (Some(idx), Some(cert)) = (scan_tile, ledger.cert.as_mut()) {
+                    cert[idx] = CertRegion::Replica {
+                        owner: w.index() as u64,
+                        volume,
+                    };
                 }
+                return;
             }
         }
         match (scan_tile, ledger.cert.as_mut()) {
@@ -828,7 +747,7 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
                 cert[idx] = CertRegion::Unreachable { volume };
                 ledger.unreachable.insert(ordinal, volume);
             }
-            _ => ledger.unreachable.push(volume),
+            _ => abandon(ledger, volume),
         }
     }
 
@@ -901,10 +820,8 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
                             ledger,
                             answer,
                         );
-                        let remaining = lost - recovered;
-                        if remaining > 1e-12 {
-                            ledger.unreachable.push(remaining);
-                            ledger.certify(|| CertRegion::Unreachable { volume: remaining });
+                        if lost - recovered > 1e-12 {
+                            abandon(ledger, lost - recovered);
                         }
                     }
                     restriction = sub;
@@ -919,347 +836,24 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
                         ledger,
                         answer,
                     );
-                    if recovered == 0.0 {
-                        // Bit-identical to the replica-unaware executor: the
-                        // whole region is reported, even if its volume is
-                        // (numerically) zero.
-                        ledger.unreachable.push(vol);
-                        ledger.certify(|| CertRegion::Unreachable { volume: vol });
-                    } else {
-                        let remaining = vol - recovered;
-                        if remaining > 1e-12 {
-                            ledger.unreachable.push(remaining);
-                            ledger.certify(|| CertRegion::Unreachable { volume: remaining });
-                        }
+                    // With nothing recovered the whole region is reported,
+                    // even if its volume is (numerically) zero — bit-identical
+                    // to the replica-unaware executor.
+                    if recovered == 0.0 || vol - recovered > 1e-12 {
+                        abandon(ledger, vol - recovered);
                     }
                     return (elapsed, None);
                 }
             }
         }
     }
+}
 
-    /// Algorithm 1 — and the `r = 0` loop of Algorithm 3 when
-    /// `report_states` is set. Returns the peer's final local state and the
-    /// completion latency of its restriction area.
-    ///
-    /// Under Algorithm 3 every fast-phase peer sends its local state
-    /// directly to the last slow-phase ancestor `u` (Alg. 3 line 19, with
-    /// `u` forwarded unchanged at line 15); the recursive return value
-    /// models the union of those states, and `report_states` charges one
-    /// state-response message per peer. Under pure Algorithm 1 no state
-    /// responses exist and none are charged.
-    fn fast<Q>(
-        &self,
-        w: PeerId,
-        global: &Q::Global,
-        restriction: O::Region,
-        report_states: bool,
-        run: &mut RunState<'_, Q>,
-    ) -> (Q::Local, u64)
-    where
-        Q: RankQuery<O::Region>,
-    {
-        self.visit(w, run);
-        let view = self.view_of(w);
-        let q = run.query;
-        let local = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_state(&view, global)
-        });
-        let global_w = q.compute_global_state(global, &local);
-
-        // Intersected links in link order; together with this peer's zone
-        // they tile the restriction area. `fast` never refines `global_w`
-        // between links, so relevance — and the pruned tiles — can be
-        // decided up front, which is exactly the order the parallel engine
-        // emits; interleaving them with the delivery loop would make the
-        // sequential and parallel certificates differ.
-        let intersected: Vec<(PeerId, O::Region)> = self
-            .net
-            .peer_links(w)
-            .into_iter()
-            .filter_map(|(t, region)| {
-                self.net
-                    .region_intersect(&region, &restriction)
-                    .map(|rr| (t, rr))
-            })
-            .collect();
-        let scan_tile = self.certify_scan(w, &restriction, &intersected, &mut run.ledger);
-        let mut links = Vec::with_capacity(intersected.len());
-        for (target, restricted) in intersected {
-            if q.is_link_relevant(&restricted, &global_w) {
-                links.push((target, restricted));
-            } else {
-                self.certify_pruned(q, w, &restricted, &global_w, &run.sess, &mut run.ledger);
-            }
-        }
-
-        let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, &global_w);
-        let mut latency = 0u64;
-        let mut remote_states = Vec::new();
-        for (target, restricted) in links {
-            let (delay, adopted) =
-                self.deliver(w, target, restricted, &run.sess, &mut run.ledger, &answer);
-            let Some((dest, restricted)) = adopted else {
-                // subtree unreachable: the time wasted waiting still counts
-                latency = latency.max(delay);
-                continue;
-            };
-            let (remote, child_latency) =
-                self.fast(dest, &global_w, restricted, report_states, run);
-            latency = latency.max(delay + child_latency);
-            remote_states.push(remote);
-        }
-        let local_answer = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_answer(&view, &local)
-        });
-        // An honest responder answers its zone from the state it *received*
-        // — exactly what a replica re-query reproduces after a failed audit.
-        let recompute = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, global);
-        self.deposit_answer(
-            w,
-            &restriction,
-            scan_tile,
-            &run.sess,
-            &mut run.ledger,
-            local_answer,
-            &recompute,
-        );
-        if report_states {
-            run.ledger.metrics.respond(run.query.state_payload(&local));
-        }
-        let merged = if remote_states.is_empty() {
-            local
-        } else {
-            remote_states.push(local);
-            run.query.update_local_state(remote_states)
-        };
-        (merged, latency)
-    }
-
-    /// Algorithm 2. Returns the final local state and completion latency.
-    fn slow<Q>(
-        &self,
-        w: PeerId,
-        global: &Q::Global,
-        restriction: O::Region,
-        run: &mut RunState<'_, Q>,
-    ) -> (Q::Local, u64)
-    where
-        Q: RankQuery<O::Region>,
-    {
-        self.visit(w, run);
-        let view = self.view_of(w);
-        let q = run.query;
-        let mut local = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_state(&view, global)
-        });
-        let mut global_w = q.compute_global_state(global, &local);
-
-        // sortLinks: decreasing priority of the restricted regions.
-        let mut links: Vec<(PeerId, O::Region)> = self
-            .net
-            .peer_links(w)
-            .into_iter()
-            .filter_map(|(t, region)| {
-                self.net
-                    .region_intersect(&region, &restriction)
-                    .map(|rr| (t, rr))
-            })
-            .collect();
-        let scan_tile = self.certify_scan(w, &restriction, &links, &mut run.ledger);
-        links.sort_by(|a, b| {
-            run.query
-                .priority(&b.1)
-                .total_cmp(&run.query.priority(&a.1))
-        });
-
-        let mut latency = 0u64;
-        for (target, restricted) in links {
-            if !run.query.is_link_relevant(&restricted, &global_w) {
-                // Pruned under the *refined* state — certified mid-loop
-                // (slow is sequential in both engines, so the order agrees).
-                self.certify_pruned(q, w, &restricted, &global_w, &run.sess, &mut run.ledger);
-                continue;
-            }
-            // Re-created each iteration: recovery answers under the *current*
-            // refined global state, exactly what this forward carried.
-            let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, &global_w);
-            let (delay, adopted) =
-                self.deliver(w, target, restricted, &run.sess, &mut run.ledger, &answer);
-            let Some((dest, restricted)) = adopted else {
-                // unreachable: sequential mode pays the wait in full
-                latency += delay;
-                continue;
-            };
-            let (remote, child_latency) = self.slow(dest, &global_w, restricted, run);
-            latency += delay + child_latency;
-            // the state response from the child
-            run.ledger.metrics.respond(run.query.state_payload(&remote));
-            local = run.query.update_local_state(vec![local, remote]);
-            global_w = run.query.compute_global_state(global, &local);
-        }
-        let local_answer = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_answer(&view, &local)
-        });
-        let recompute = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, global);
-        self.deposit_answer(
-            w,
-            &restriction,
-            scan_tile,
-            &run.sess,
-            &mut run.ledger,
-            local_answer,
-            &recompute,
-        );
-        (local, latency)
-    }
-
-    /// Algorithm 3 with ripple parameter `r`.
-    fn ripple<Q>(
-        &self,
-        w: PeerId,
-        global: &Q::Global,
-        restriction: O::Region,
-        r: u32,
-        run: &mut RunState<'_, Q>,
-    ) -> (Q::Local, u64)
-    where
-        Q: RankQuery<O::Region>,
-    {
-        if r == 0 {
-            // Below the hop budget every peer runs the fast loop; local
-            // states stream back to the last slow-phase ancestor, which the
-            // recursive return value models.
-            return self.fast(w, global, restriction, true, run);
-        }
-        self.visit(w, run);
-        let view = self.view_of(w);
-        let q = run.query;
-        let mut local = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_state(&view, global)
-        });
-        let mut global_w = q.compute_global_state(global, &local);
-
-        let mut links: Vec<(PeerId, O::Region)> = self
-            .net
-            .peer_links(w)
-            .into_iter()
-            .filter_map(|(t, region)| {
-                self.net
-                    .region_intersect(&region, &restriction)
-                    .map(|rr| (t, rr))
-            })
-            .collect();
-        let scan_tile = self.certify_scan(w, &restriction, &links, &mut run.ledger);
-        links.sort_by(|a, b| {
-            run.query
-                .priority(&b.1)
-                .total_cmp(&run.query.priority(&a.1))
-        });
-
-        let mut latency = 0u64;
-        for (target, restricted) in links {
-            if !run.query.is_link_relevant(&restricted, &global_w) {
-                self.certify_pruned(q, w, &restricted, &global_w, &run.sess, &mut run.ledger);
-                continue;
-            }
-            let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, &global_w);
-            let (delay, adopted) =
-                self.deliver(w, target, restricted, &run.sess, &mut run.ledger, &answer);
-            let Some((dest, restricted)) = adopted else {
-                latency += delay;
-                continue;
-            };
-            let (remote, child_latency) = if r == 1 {
-                // Fast-phase peers charge their own state responses (they
-                // report directly to this peer).
-                self.fast(dest, &global_w, restricted, true, run)
-            } else {
-                let out = self.ripple(dest, &global_w, restricted, r - 1, run);
-                run.ledger.metrics.respond(run.query.state_payload(&out.0));
-                out
-            };
-            latency += delay + child_latency;
-            local = run.query.update_local_state(vec![local, remote]);
-            global_w = run.query.compute_global_state(global, &local);
-        }
-        let local_answer = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_answer(&view, &local)
-        });
-        let recompute = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, global);
-        self.deposit_answer(
-            w,
-            &restriction,
-            scan_tile,
-            &run.sess,
-            &mut run.ledger,
-            local_answer,
-            &recompute,
-        );
-        (local, latency)
-    }
-
-    /// Naive broadcast (Section 1): reach *every* peer in the restriction
-    /// area in parallel, ignoring states; every peer answers from purely
-    /// local knowledge.
-    fn broadcast<Q>(
-        &self,
-        w: PeerId,
-        global: &Q::Global,
-        restriction: O::Region,
-        run: &mut RunState<'_, Q>,
-    ) -> (Q::Local, u64)
-    where
-        Q: RankQuery<O::Region>,
-    {
-        self.visit(w, run);
-        let view = self.view_of(w);
-        let q = run.query;
-        let local = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_state(&view, global)
-        });
-
-        // Collected before the fan-out so the scanned tile lands ahead of
-        // the subtree tiles, matching the parallel engine's emission order.
-        let links: Vec<(PeerId, O::Region)> = self
-            .net
-            .peer_links(w)
-            .into_iter()
-            .filter_map(|(t, region)| {
-                self.net
-                    .region_intersect(&region, &restriction)
-                    .map(|rr| (t, rr))
-            })
-            .collect();
-        let scan_tile = self.certify_scan(w, &restriction, &links, &mut run.ledger);
-
-        let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, global);
-        let mut latency = 0u64;
-        for (target, restricted) in links {
-            let (delay, adopted) =
-                self.deliver(w, target, restricted, &run.sess, &mut run.ledger, &answer);
-            let Some((dest, restricted)) = adopted else {
-                latency = latency.max(delay);
-                continue;
-            };
-            // the global state is never refined — pure flooding
-            let (_, child_latency) = self.broadcast(dest, global, restricted, run);
-            latency = latency.max(delay + child_latency);
-        }
-        let local_answer = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_answer(&view, &local)
-        });
-        self.deposit_answer(
-            w,
-            &restriction,
-            scan_tile,
-            &run.sess,
-            &mut run.ledger,
-            local_answer,
-            &answer,
-        );
-        (local, latency)
-    }
+/// Records an abandoned volume: its coverage entry and its `Unreachable`
+/// tile, appended together so the two streams pair 1:1 in order.
+fn abandon(ledger: &mut BranchLedger, volume: f64) {
+    ledger.unreachable.push(volume);
+    ledger.certify(|| CertRegion::Unreachable { volume });
 }
 
 /// Applies one commission-fault mode to an answer envelope in place.
@@ -1312,272 +906,393 @@ fn corrupt_witness(honest: &PruneWitness) -> PruneWitness {
     }
 }
 
-/// One forked branch of a parallel fast/broadcast fan-out: the delivery
-/// delay of the edge that reached it, the subtree's result (state and
-/// completion latency; `None` when every delivery candidate failed), and
-/// the branch's partial ledger.
-type Branch<L> = (u64, Option<(L, u64)>, BranchLedger);
-
-/// Parallel Algorithm 1 (and the fast phase of Algorithm 3): the mirror of
-/// [`Executor::fast`] that forks one task per relevant link and reduces the
-/// children's [`BranchLedger`]s back **in link order**, which restores the
-/// sequential executor's ledger bit-for-bit (pre-order visits, post-order
-/// answers, link-order abandonment; counters are order-free sums).
-///
-/// Relevance is decided *before* forking, against the same `global_w` the
-/// sequential loop uses — `fast` never refines the global state between
-/// links, so the link filter is identical by construction.
-fn fast_par<'env, O, Q>(
-    ctx: &'env ParCtx<'env, O, Q>,
-    w: PeerId,
-    global: &Q::Global,
-    restriction: O::Region,
-    report_states: bool,
-    pool: &Pool<'env>,
-    ledger: &mut BranchLedger,
-) -> (Q::Local, u64)
-where
-    O: RippleOverlay + Sync,
-    O::Region: Send + 'env,
-    Q: RankQuery<O::Region> + Sync,
-    Q::Global: Send + Sync + 'env,
-    Q::Local: Send + 'env,
-{
-    ctx.visit(w, ledger);
-    let view = ctx.exec.view_of(w);
-    let local = with_scan(ctx.trace, &mut ledger.metrics, || {
-        ctx.query.compute_local_state(&view, global)
-    });
-    let global_w = Arc::new(ctx.query.compute_global_state(global, &local));
-
-    // The same links, filtered by the same predicates, in the same order as
-    // the sequential loop — including the same certificate tiles: scanned
-    // first, then the pruned links in link order, then the branches.
-    let intersected: Vec<(PeerId, O::Region)> = ctx
-        .exec
-        .net
-        .peer_links(w)
-        .into_iter()
-        .filter_map(|(t, region)| {
-            ctx.exec
-                .net
-                .region_intersect(&region, &restriction)
-                .map(|rr| (t, rr))
-        })
-        .collect();
-    let scan_tile = ctx.exec.certify_scan(w, &restriction, &intersected, ledger);
-    let mut links = Vec::with_capacity(intersected.len());
-    for (target, restricted) in intersected {
-        if ctx.query.is_link_relevant(&restricted, &global_w) {
-            links.push((target, restricted));
-        } else {
-            ctx.exec
-                .certify_pruned(ctx.query, w, &restricted, &global_w, &ctx.sess, ledger);
-        }
-    }
-
-    let mut latency = 0u64;
-    let mut remote_states = Vec::new();
-    if links.len() <= 1 {
-        // A chain: forking buys nothing, recurse inline on this thread.
-        let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, &global_w);
-        for (target, restricted) in links {
-            let (delay, adopted) = ctx
-                .exec
-                .deliver(w, target, restricted, &ctx.sess, ledger, &answer);
-            match adopted {
-                None => latency = latency.max(delay),
-                Some((dest, restricted)) => {
-                    let (remote, child_latency) = fast_par(
-                        ctx,
-                        dest,
-                        &global_w,
-                        restricted,
-                        report_states,
-                        pool,
-                        ledger,
-                    );
-                    latency = latency.max(delay + child_latency);
-                    remote_states.push(remote);
-                }
-            }
-        }
-    } else {
-        let branches: Vec<Branch<Q::Local>> = pool.join_all(
-            links
-                .into_iter()
-                .map(|(target, restricted)| {
-                    let global_w = Arc::clone(&global_w);
-                    move |pool: &Pool<'env>| {
-                        let mut branch = BranchLedger::with_certificates(ctx.trace, ctx.certs);
-                        let answer =
-                            |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, &global_w);
-                        let (delay, adopted) = ctx.exec.deliver(
-                            w,
-                            target,
-                            restricted,
-                            &ctx.sess,
-                            &mut branch,
-                            &answer,
-                        );
-                        match adopted {
-                            None => (delay, None, branch),
-                            Some((dest, restricted)) => {
-                                let (remote, child_latency) = fast_par(
-                                    ctx,
-                                    dest,
-                                    &global_w,
-                                    restricted,
-                                    report_states,
-                                    pool,
-                                    &mut branch,
-                                );
-                                (delay, Some((remote, child_latency)), branch)
-                            }
-                        }
-                    }
-                })
-                .collect(),
-        );
-        for (delay, result, branch) in branches {
-            ledger.merge_child(branch);
-            match result {
-                None => latency = latency.max(delay),
-                Some((remote, child_latency)) => {
-                    latency = latency.max(delay + child_latency);
-                    remote_states.push(remote);
-                }
-            }
-        }
-    }
-    let local_answer = with_scan(ctx.trace, &mut ledger.metrics, || {
-        ctx.query.compute_local_answer(&view, &local)
-    });
-    let recompute = |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, global);
-    ctx.exec.deposit_answer(
-        w,
-        &restriction,
-        scan_tile,
-        &ctx.sess,
-        ledger,
-        local_answer,
-        &recompute,
-    );
-    if report_states {
-        ledger.metrics.respond(ctx.query.state_payload(&local));
-    }
-    let merged = if remote_states.is_empty() {
-        local
-    } else {
-        remote_states.push(local);
-        ctx.query.update_local_state(remote_states)
-    };
-    (merged, latency)
+/// What one query's walk reads at every peer, in both engines: the
+/// executor, the query and the immutable per-query session.
+struct Walk<'a, O, Q> {
+    exec: &'a Executor<'a, O>,
+    query: &'a Q,
+    sess: QuerySession,
 }
 
-/// Parallel Algorithm 3: the slow phase above the hop budget is semantically
-/// sequential (every link waits for the previous state response before
-/// relevance is re-decided), so it runs on the caller and accumulates into
-/// the shared ledger exactly like [`Executor::ripple`]; once `r` reaches 0
-/// the fast-phase subtrees fan out through [`fast_par`].
-fn ripple_par<'env, O, Q>(
-    ctx: &'env ParCtx<'env, O, Q>,
-    w: PeerId,
-    global: &Q::Global,
-    restriction: O::Region,
-    r: u32,
-    pool: &Pool<'env>,
-    ledger: &mut BranchLedger,
-) -> (Q::Local, u64)
-where
-    O: RippleOverlay + Sync,
-    O::Region: Send + 'env,
-    Q: RankQuery<O::Region> + Sync,
-    Q::Global: Send + Sync + 'env,
-    Q::Local: Send + 'env,
-{
-    if r == 0 {
-        return fast_par(ctx, w, global, restriction, true, pool, ledger);
+/// The template a forwarded subtree runs.
+#[derive(Clone, Copy)]
+enum Step {
+    /// Algorithm 1; with `report_states` each peer charges its state
+    /// response to the last slow-phase ancestor (the fast phase of
+    /// Algorithm 3).
+    Fast { report_states: bool },
+    /// Naive broadcast.
+    Broadcast,
+}
+
+/// How a visit walks its relevant links. The templates — `fast`, `ripple`
+/// and `broadcast`, with the prologue and epilogue they share — are this
+/// trait's provided methods, written once; [`Seq`] and [`Par`] supply only
+/// the visited set that catches duplicate visits and the fan-out, which
+/// decides where a forwarded subtree runs.
+trait Fan<O: RippleOverlay, Q: RankQuery<O::Region>> {
+    fn walk(&self) -> &Walk<'_, O, Q>;
+
+    /// Marks `peer` visited, returning `false` when it already was.
+    fn first_visit(&self, peer: PeerId) -> bool;
+
+    /// Forwards the query from `w` over each of `links` under `global`,
+    /// runs `step` at every peer that adopts one, and folds each subtree's
+    /// ledger into `ledger` in link order. Returns the completion latency
+    /// (the slowest link) and the adopted subtrees' states in link order.
+    fn fan_out(
+        &self,
+        w: PeerId,
+        links: Vec<(PeerId, O::Region)>,
+        global: &Arc<Q::Global>,
+        step: Step,
+        ledger: &mut BranchLedger,
+    ) -> (u64, Vec<Q::Local>);
+
+    /// Walks `links` one after another on the caller, into `ledger`.
+    fn inline(
+        &self,
+        w: PeerId,
+        links: Vec<(PeerId, O::Region)>,
+        global: &Arc<Q::Global>,
+        step: Step,
+        ledger: &mut BranchLedger,
+    ) -> (u64, Vec<Q::Local>) {
+        gather(
+            links
+                .into_iter()
+                .map(|link| self.follow(w, link, global, step, ledger)),
+        )
     }
-    ctx.visit(w, ledger);
-    let view = ctx.exec.view_of(w);
-    let mut local = with_scan(ctx.trace, &mut ledger.metrics, || {
-        ctx.query.compute_local_state(&view, global)
-    });
-    let mut global_w = ctx.query.compute_global_state(global, &local);
 
-    let mut links: Vec<(PeerId, O::Region)> = ctx
-        .exec
-        .net
-        .peer_links(w)
-        .into_iter()
-        .filter_map(|(t, region)| {
-            ctx.exec
-                .net
-                .region_intersect(&region, &restriction)
-                .map(|rr| (t, rr))
-        })
-        .collect();
-    let scan_tile = ctx.exec.certify_scan(w, &restriction, &links, ledger);
-    links.sort_by(|a, b| {
-        ctx.query
-            .priority(&b.1)
-            .total_cmp(&ctx.query.priority(&a.1))
-    });
-
-    let mut latency = 0u64;
-    for (target, restricted) in links {
-        if !ctx.query.is_link_relevant(&restricted, &global_w) {
-            ctx.exec
-                .certify_pruned(ctx.query, w, &restricted, &global_w, &ctx.sess, ledger);
-            continue;
-        }
-        let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, &global_w);
-        let (delay, adopted) = ctx
+    /// Forwards the query from `w` over one relevant link under `global`
+    /// and runs `step` at the peer that adopts it. Returns the delivery
+    /// delay and, unless every delivery candidate failed, the subtree's
+    /// final state and completion latency.
+    fn follow(
+        &self,
+        w: PeerId,
+        (target, restricted): (PeerId, O::Region),
+        global: &Arc<Q::Global>,
+        step: Step,
+        ledger: &mut BranchLedger,
+    ) -> (u64, Option<(Q::Local, u64)>) {
+        let walk = self.walk();
+        let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(walk.query, t, global);
+        let (delay, adopted) = walk
             .exec
-            .deliver(w, target, restricted, &ctx.sess, ledger, &answer);
-        let Some((dest, restricted)) = adopted else {
-            latency += delay;
-            continue;
-        };
-        let (remote, child_latency) = if r == 1 {
-            fast_par(ctx, dest, &global_w, restricted, true, pool, ledger)
-        } else {
-            let out = ripple_par(ctx, dest, &global_w, restricted, r - 1, pool, ledger);
-            ledger.metrics.respond(ctx.query.state_payload(&out.0));
-            out
-        };
-        latency += delay + child_latency;
-        local = ctx.query.update_local_state(vec![local, remote]);
-        global_w = ctx.query.compute_global_state(global, &local);
+            .deliver(w, target, restricted, &walk.sess, ledger, &answer);
+        let child = adopted.map(|(dest, restricted)| match step {
+            Step::Fast { report_states } => {
+                self.fast(dest, global, restricted, report_states, ledger)
+            }
+            Step::Broadcast => self.broadcast(dest, global, restricted, ledger),
+        });
+        (delay, child)
     }
-    let local_answer = with_scan(ctx.trace, &mut ledger.metrics, || {
-        ctx.query.compute_local_answer(&view, &local)
-    });
-    let recompute = |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, global);
-    ctx.exec.deposit_answer(
-        w,
-        &restriction,
-        scan_tile,
-        &ctx.sess,
-        ledger,
-        local_answer,
-        &recompute,
-    );
-    (local, latency)
+
+    /// The prologue of every template at `w`: mark the visit, open the
+    /// peer's view, compute its local state under the received `global`,
+    /// intersect its links with the restriction area and record its
+    /// scanned tile.
+    fn arrive<'f>(
+        &'f self,
+        w: PeerId,
+        global: &Q::Global,
+        restriction: O::Region,
+        ledger: &mut BranchLedger,
+    ) -> Visit<'f, O::Region, Q::Local>
+    where
+        O: 'f,
+        Q: 'f,
+    {
+        let Walk { exec, query, .. } = *self.walk();
+        // The restriction areas guarantee each peer processes a query at
+        // most once; a second visit is a correctness anomaly, counted
+        // rather than tolerated silently.
+        if !self.first_visit(w) {
+            ledger.metrics.duplicate_visits += 1;
+        }
+        ledger.metrics.visit(w);
+        let view = exec.view_of(w);
+        let local = with_scan(exec.trace, &mut ledger.metrics, || {
+            query.compute_local_state(&view, global)
+        });
+        let links: Vec<(PeerId, O::Region)> = exec
+            .net
+            .peer_links(w)
+            .into_iter()
+            .filter_map(|(t, region)| {
+                exec.net
+                    .region_intersect(&region, &restriction)
+                    .map(|rr| (t, rr))
+            })
+            .collect();
+        let scan_tile = exec.certify_scan(w, &restriction, &links, ledger);
+        Visit {
+            w,
+            restriction,
+            view,
+            local,
+            links,
+            scan_tile,
+        }
+    }
+
+    /// The epilogue of every template: the local answer from the peer's
+    /// final state, deposited through the audit. An honest responder
+    /// answers its zone from the state it *received* — exactly what a
+    /// replica re-query reproduces after a failed audit.
+    fn leave(
+        &self,
+        visit: &Visit<'_, O::Region, Q::Local>,
+        global: &Q::Global,
+        ledger: &mut BranchLedger,
+    ) {
+        let walk = self.walk();
+        let q = walk.query;
+        let answer = with_scan(walk.exec.trace, &mut ledger.metrics, || {
+            q.compute_local_answer(&visit.view, &visit.local)
+        });
+        let recompute = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, global);
+        walk.exec.deposit_answer(
+            visit.w,
+            &visit.restriction,
+            visit.scan_tile,
+            &walk.sess,
+            ledger,
+            answer,
+            &recompute,
+        );
+    }
+
+    /// Runs `mode`'s template from `initiator` over the whole domain,
+    /// returning the initiator's final state and the completion latency.
+    fn start(&self, initiator: PeerId, mode: Mode, ledger: &mut BranchLedger) -> (Q::Local, u64) {
+        let walk = self.walk();
+        let full = walk.exec.net.full_region();
+        let global = walk.query.initial_global();
+        match mode {
+            Mode::Fast | Mode::Ripple(0) => self.fast(initiator, &global, full, false, ledger),
+            Mode::Slow => self.ripple(initiator, &global, full, u32::MAX, ledger),
+            Mode::Ripple(r) => self.ripple(initiator, &global, full, r, ledger),
+            Mode::Broadcast => self.broadcast(initiator, &Arc::new(global), full, ledger),
+        }
+    }
+
+    /// Algorithm 1 — and the `r = 0` loop of Algorithm 3 when
+    /// `report_states` is set. Returns the peer's final local state and the
+    /// completion latency of its restriction area.
+    ///
+    /// Under Algorithm 3 every fast-phase peer sends its local state
+    /// directly to the last slow-phase ancestor `u` (Alg. 3 line 19, with
+    /// `u` forwarded unchanged at line 15); the recursive return value
+    /// models the union of those states, and `report_states` charges one
+    /// state-response message per peer. Under pure Algorithm 1 no state
+    /// responses exist and none are charged.
+    fn fast(
+        &self,
+        w: PeerId,
+        global: &Q::Global,
+        restriction: O::Region,
+        report_states: bool,
+        ledger: &mut BranchLedger,
+    ) -> (Q::Local, u64) {
+        let walk = self.walk();
+        let q = walk.query;
+        let mut visit = self.arrive(w, global, restriction, ledger);
+        let global_w = Arc::new(q.compute_global_state(global, &visit.local));
+        // `fast` never refines `global_w` between links, so relevance — and
+        // the pruned tiles — is decided before any subtree runs, in link
+        // order.
+        let intersected = std::mem::take(&mut visit.links);
+        let mut links = Vec::with_capacity(intersected.len());
+        for (target, restricted) in intersected {
+            if q.is_link_relevant(&restricted, &global_w) {
+                links.push((target, restricted));
+            } else {
+                walk.exec
+                    .certify_pruned(q, w, &restricted, &global_w, &walk.sess, ledger);
+            }
+        }
+        let (latency, mut states) =
+            self.fan_out(w, links, &global_w, Step::Fast { report_states }, ledger);
+        self.leave(&visit, global, ledger);
+        if report_states {
+            ledger.metrics.respond(q.state_payload(&visit.local));
+        }
+        let merged = if states.is_empty() {
+            visit.local
+        } else {
+            states.push(visit.local);
+            q.update_local_state(states)
+        };
+        (merged, latency)
+    }
+
+    /// Algorithm 3 with ripple parameter `r`, and Algorithm 2 as
+    /// `r = u32::MAX`: `slow` is `ripple` with a hop budget no walk
+    /// exhausts. Above the budget the links are visited in decreasing
+    /// priority, and each waits for the previous subtree's state response,
+    /// which refines the global state before relevance is decided — so
+    /// this template never forks. Below the budget every peer runs `fast`,
+    /// which fans out.
+    fn ripple(
+        &self,
+        w: PeerId,
+        global: &Q::Global,
+        restriction: O::Region,
+        r: u32,
+        ledger: &mut BranchLedger,
+    ) -> (Q::Local, u64) {
+        if r == 0 {
+            // Local states stream back to the last slow-phase ancestor,
+            // which the recursive return value models.
+            return self.fast(w, global, restriction, true, ledger);
+        }
+        let walk = self.walk();
+        let q = walk.query;
+        let mut visit = self.arrive(w, global, restriction, ledger);
+        let mut global_w = q.compute_global_state(global, &visit.local);
+        // sortLinks: decreasing priority of the restricted regions.
+        let mut links = std::mem::take(&mut visit.links);
+        links.sort_by(|a, b| q.priority(&b.1).total_cmp(&q.priority(&a.1)));
+
+        let mut latency = 0u64;
+        for (target, restricted) in links {
+            if !q.is_link_relevant(&restricted, &global_w) {
+                // Pruned under the *refined* state, certified mid-loop.
+                walk.exec
+                    .certify_pruned(q, w, &restricted, &global_w, &walk.sess, ledger);
+                continue;
+            }
+            // Re-created each iteration: recovery answers under the
+            // *current* refined global state, exactly what this forward
+            // carried.
+            let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, &global_w);
+            let (delay, adopted) = walk
+                .exec
+                .deliver(w, target, restricted, &walk.sess, ledger, &answer);
+            let Some((dest, restricted)) = adopted else {
+                // unreachable: a sequential link pays the wait in full
+                latency += delay;
+                continue;
+            };
+            let (remote, child_latency) = self.ripple(dest, &global_w, restricted, r - 1, ledger);
+            if r > 1 {
+                // The slow-phase child's state response; fast-phase children
+                // charge their own (they report directly to this peer).
+                ledger.metrics.respond(q.state_payload(&remote));
+            }
+            latency += delay + child_latency;
+            visit.local = q.update_local_state(vec![visit.local, remote]);
+            global_w = q.compute_global_state(global, &visit.local);
+        }
+        self.leave(&visit, global, ledger);
+        (visit.local, latency)
+    }
+
+    /// Naive broadcast (Section 1): reach *every* peer in the restriction
+    /// area in parallel, ignoring states; every peer answers from purely
+    /// local knowledge. The global state is never refined, so one `Arc` of
+    /// the initiator's state is shared down the whole tree.
+    fn broadcast(
+        &self,
+        w: PeerId,
+        global: &Arc<Q::Global>,
+        restriction: O::Region,
+        ledger: &mut BranchLedger,
+    ) -> (Q::Local, u64) {
+        let mut visit = self.arrive(w, global, restriction, ledger);
+        let links = std::mem::take(&mut visit.links);
+        let (latency, _) = self.fan_out(w, links, global, Step::Broadcast, ledger);
+        self.leave(&visit, global, ledger);
+        (visit.local, latency)
+    }
 }
 
-/// Parallel naive broadcast: [`Executor::broadcast`] with the fan-out forked
-/// per link. The global state is never refined, so one `Arc` of the
-/// initiator's state is shared down the whole tree.
-fn broadcast_par<'env, O, Q>(
-    ctx: &'env ParCtx<'env, O, Q>,
+/// Reduces per-link results in link order: the fan-out completes with its
+/// slowest link — an unreachable subtree still costs the time spent waiting
+/// on it — and the adopted subtrees' states are kept for the merge.
+fn gather<L>(children: impl Iterator<Item = (u64, Option<(L, u64)>)>) -> (u64, Vec<L>) {
+    let mut latency = 0u64;
+    let mut states = Vec::new();
+    for (delay, child) in children {
+        match child {
+            None => latency = latency.max(delay),
+            Some((state, child_latency)) => {
+                latency = latency.max(delay + child_latency);
+                states.push(state);
+            }
+        }
+    }
+    (latency, states)
+}
+
+/// A peer between arrival and departure: what the prologue computed that
+/// the epilogue needs.
+struct Visit<'v, R, L> {
     w: PeerId,
-    global: &Arc<Q::Global>,
-    restriction: O::Region,
-    pool: &Pool<'env>,
-    ledger: &mut BranchLedger,
-) -> (Q::Local, u64)
+    restriction: R,
+    view: LocalView<'v>,
+    local: L,
+    /// The peer's links intersected with the restriction area, in link
+    /// order; with the peer's zone they tile the area. The template takes
+    /// them to walk.
+    links: Vec<(PeerId, R)>,
+    /// The peer's scanned tile, which a failed deposit audit rewrites.
+    scan_tile: Option<usize>,
+}
+
+/// The sequential fan: every subtree runs inline on the caller, straight
+/// into the caller's ledger.
+struct Seq<'a, O, Q> {
+    walk: Walk<'a, O, Q>,
+    visited: RefCell<FxHashSet<PeerId>>,
+}
+
+impl<O: RippleOverlay, Q: RankQuery<O::Region>> Fan<O, Q> for Seq<'_, O, Q> {
+    fn walk(&self) -> &Walk<'_, O, Q> {
+        &self.walk
+    }
+
+    fn first_visit(&self, peer: PeerId) -> bool {
+        self.visited.borrow_mut().insert(peer)
+    }
+
+    fn fan_out(
+        &self,
+        w: PeerId,
+        links: Vec<(PeerId, O::Region)>,
+        global: &Arc<Q::Global>,
+        step: Step,
+        ledger: &mut BranchLedger,
+    ) -> (u64, Vec<Q::Local>) {
+        self.inline(w, links, global, step, ledger)
+    }
+}
+
+/// Everything a parallel execution shares across worker threads. Built
+/// before the pool scope opens so tasks can borrow it for the scope's
+/// lifetime; holds no per-branch mutable state (branches own their
+/// [`BranchLedger`]s, and [`FaultSession`] decisions are keyed, not drawn).
+struct ParCtx<'a, O, Q> {
+    walk: Walk<'a, O, Q>,
+    /// Sharded so the *total* duplicate count is schedule-independent.
+    visited: ShardedVisited,
+}
+
+/// The parallel fan: with two or more links every subtree runs as its own
+/// pool task on its own [`BranchLedger`], and the parent merges the
+/// branches back in link order — which restores the sequential ledger
+/// bit-for-bit (pre-order visits, post-order answers, link-order
+/// abandonment; counters are order-free sums).
+struct Par<'p, 'env, O, Q> {
+    ctx: &'env ParCtx<'env, O, Q>,
+    pool: &'p Pool<'env>,
+}
+
+impl<'env, O, Q> Fan<O, Q> for Par<'_, 'env, O, Q>
 where
     O: RippleOverlay + Sync,
     O::Region: Send + 'env,
@@ -1585,98 +1300,46 @@ where
     Q::Global: Send + Sync + 'env,
     Q::Local: Send + 'env,
 {
-    ctx.visit(w, ledger);
-    let view = ctx.exec.view_of(w);
-    let local = with_scan(ctx.trace, &mut ledger.metrics, || {
-        ctx.query.compute_local_state(&view, global)
-    });
-
-    let links: Vec<(PeerId, O::Region)> = ctx
-        .exec
-        .net
-        .peer_links(w)
-        .into_iter()
-        .filter_map(|(t, region)| {
-            ctx.exec
-                .net
-                .region_intersect(&region, &restriction)
-                .map(|rr| (t, rr))
-        })
-        .collect();
-    let scan_tile = ctx.exec.certify_scan(w, &restriction, &links, ledger);
-
-    let mut latency = 0u64;
-    if links.len() <= 1 {
-        let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, global);
-        for (target, restricted) in links {
-            let (delay, adopted) = ctx
-                .exec
-                .deliver(w, target, restricted, &ctx.sess, ledger, &answer);
-            match adopted {
-                None => latency = latency.max(delay),
-                Some((dest, restricted)) => {
-                    let (_, child_latency) =
-                        broadcast_par(ctx, dest, global, restricted, pool, ledger);
-                    latency = latency.max(delay + child_latency);
-                }
-            }
-        }
-    } else {
-        let branches: Vec<Branch<Q::Local>> = pool.join_all(
-            links
-                .into_iter()
-                .map(|(target, restricted)| {
-                    let global = Arc::clone(global);
-                    move |pool: &Pool<'env>| {
-                        let mut branch = BranchLedger::with_certificates(ctx.trace, ctx.certs);
-                        let answer =
-                            |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, &global);
-                        let (delay, adopted) = ctx.exec.deliver(
-                            w,
-                            target,
-                            restricted,
-                            &ctx.sess,
-                            &mut branch,
-                            &answer,
-                        );
-                        match adopted {
-                            None => (delay, None, branch),
-                            Some((dest, restricted)) => {
-                                let (remote, child_latency) = broadcast_par(
-                                    ctx,
-                                    dest,
-                                    &global,
-                                    restricted,
-                                    pool,
-                                    &mut branch,
-                                );
-                                (delay, Some((remote, child_latency)), branch)
-                            }
-                        }
-                    }
-                })
-                .collect(),
-        );
-        for (delay, result, branch) in branches {
-            ledger.merge_child(branch);
-            match result {
-                None => latency = latency.max(delay),
-                Some((_, child_latency)) => latency = latency.max(delay + child_latency),
-            }
-        }
+    fn walk(&self) -> &Walk<'_, O, Q> {
+        &self.ctx.walk
     }
-    let local_answer = with_scan(ctx.trace, &mut ledger.metrics, || {
-        ctx.query.compute_local_answer(&view, &local)
-    });
-    let recompute = |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, global);
-    ctx.exec.deposit_answer(
-        w,
-        &restriction,
-        scan_tile,
-        &ctx.sess,
-        ledger,
-        local_answer,
-        &recompute,
-    );
-    (local, latency)
+
+    fn first_visit(&self, peer: PeerId) -> bool {
+        self.ctx.visited.insert(peer)
+    }
+
+    fn fan_out(
+        &self,
+        w: PeerId,
+        links: Vec<(PeerId, O::Region)>,
+        global: &Arc<Q::Global>,
+        step: Step,
+        ledger: &mut BranchLedger,
+    ) -> (u64, Vec<Q::Local>) {
+        if links.len() < 2 {
+            // A chain: forking buys nothing.
+            return self.inline(w, links, global, step, ledger);
+        }
+        let ctx = self.ctx;
+        let tasks = links
+            .into_iter()
+            .map(|link| {
+                let global = Arc::clone(global);
+                move |pool: &Pool<'env>| {
+                    let mut branch = ctx.walk.exec.ledger();
+                    let child = Par { ctx, pool }.follow(w, link, &global, step, &mut branch);
+                    (child, branch)
+                }
+            })
+            .collect();
+        gather(
+            self.pool
+                .join_all(tasks)
+                .into_iter()
+                .map(|(child, branch)| {
+                    ledger.merge_child(branch);
+                    child
+                }),
+        )
+    }
 }

@@ -11,6 +11,11 @@
 //! link-order [`BranchLedger`] reduction (restores the sequential DFS
 //! ledger), and the sharded visited set (schedule-free duplicate totals).
 //!
+//! Both engines run the same `fast`/`ripple`/`broadcast` templates and
+//! differ only in their fan-out: inline, or one pool task per link. So the
+//! suite pins the parallel fan — its forks, branch ledgers and link-order
+//! merges — against the inline one. `slow` is `ripple(∞)` and never forks.
+//!
 //! The Chord-side twins live in `ripple-chord`'s `tests/parallel.rs`,
 //! proving the engine is substrate-generic.
 //!
@@ -211,8 +216,8 @@ fn parallel_determinism_property_sweep() {
 }
 
 /// `threads <= 1` *is* the sequential engine (the same code path, not an
-/// equivalent one), and `Mode::Slow` always delegates — the degenerate
-/// cases the `parallel_exec_bench --threads 1` gate leans on.
+/// equivalent one), and `Mode::Slow` never forks — the degenerate cases
+/// the `parallel_exec_bench --threads 1` gate leans on.
 #[test]
 fn single_thread_and_slow_mode_delegate_to_sequential() {
     let (net, mut rng) = loaded_net(2, 32, 400, 144);
@@ -227,7 +232,7 @@ fn single_thread_and_slow_mode_delegate_to_sequential() {
             assert_eq!(seq.answers, par.answers);
         }
     }
-    // Slow with many threads still takes the sequential path.
+    // Slow with many threads runs on the caller: `ripple(∞)` never forks.
     let initiator = net.random_peer(&mut rng);
     let exec = Executor::new(&net);
     let seq = exec.run(initiator, &q, Mode::Slow);

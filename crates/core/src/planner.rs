@@ -513,11 +513,7 @@ where
     let plan = planner.plan(inputs);
     let mode: Mode = plan.mode.into();
     let start = Instant::now();
-    let mut outcome = if plan.threads > 1 {
-        exec.run_parallel(initiator, query, mode, plan.threads)
-    } else {
-        exec.run(initiator, query, mode)
-    };
+    let mut outcome = exec.run_parallel(initiator, query, mode, plan.threads);
     let wall_ns = start.elapsed().as_nanos() as u64;
     planner.observe(plan.mode, &outcome.metrics, outcome.answers.len(), wall_ns);
     outcome.metrics.plan = Some(plan);

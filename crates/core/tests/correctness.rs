@@ -2,13 +2,15 @@
 //! centralized answer, from any initiator, for all three query types.
 
 use ripple_core::diversify::{diversify, greedy_trace, run_single_tuple, Initialize};
-use ripple_core::framework::Mode;
-use ripple_core::skyline::{centralized_skyline, run_skyline};
-use ripple_core::topk::{centralized_topk, run_topk};
-use ripple_geom::{DiversityQuery, LinearScore, Norm, PeakScore, Point, ScoreFn, Tuple};
+use ripple_core::framework::{Mode, RankQuery};
+use ripple_core::skyline::{centralized_skyline, run_skyline, SkylineQuery};
+use ripple_core::topk::{centralized_topk, run_topk, TopKQuery};
+use ripple_core::Executor;
+use ripple_geom::{DiversityQuery, LinearScore, Norm, PeakScore, Point, Rect, ScoreFn, Tuple};
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
+use ripple_net::PeerId;
 
 fn build(dims: usize, peers: usize, tuples: usize, seed: u64) -> (MidasNetwork, Vec<Tuple>) {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -270,22 +272,47 @@ fn metrics_are_sane() {
 
 #[test]
 fn ripple_interpolates_between_fast_and_slow() {
-    let (net, _) = build(2, 128, 600, 52);
+    // `r ≥ Δ` degenerates to slow and `r = 0` to fast — not only in
+    // latency but in the whole outcome: answers, the full cost ledger with
+    // its visit trace, coverage and certificate, for both query types.
     let mut rng = SmallRng::seed_from_u64(16);
-    let initiator = net.random_peer(&mut rng);
-    let score = LinearScore::uniform(2);
-    let delta = net.delta();
+    for (dims, peers, tuples, seed) in [(2, 128, 600, 52), (3, 96, 500, 55), (4, 64, 400, 56)] {
+        let (net, _) = build(dims, peers, tuples, seed);
+        let exec = Executor::new(&net);
+        let delta = net.delta();
+        for _ in 0..3 {
+            let initiator = net.random_peer(&mut rng);
+            let label = format!("{dims}-d, initiator {initiator}");
+            let topk = TopKQuery::new(LinearScore::uniform(dims), 10);
+            assert_degenerate_ripples(&exec, initiator, &topk, delta, &label);
+            let skyline = SkylineQuery::new();
+            assert_degenerate_ripples(&exec, initiator, &skyline, delta, &label);
+        }
+    }
+}
 
-    let latency_of = |mode| {
-        let (_, m) = run_topk(&net, initiator, score.clone(), 10, mode);
-        m.latency
-    };
-    let fast = latency_of(Mode::Fast);
-    let slow = latency_of(Mode::Slow);
-    let r_delta = latency_of(Mode::Ripple(delta));
-    assert_eq!(r_delta, slow, "r = Δ degenerates to slow");
-    let r0 = latency_of(Mode::Ripple(0));
-    assert_eq!(r0, fast, "r = 0 degenerates to fast");
+/// `Ripple(Δ)` and `Ripple(u32::MAX)` run exactly as `Slow`, and
+/// `Ripple(0)` exactly as `Fast`.
+fn assert_degenerate_ripples<Q: RankQuery<Rect>>(
+    exec: &Executor<'_, MidasNetwork>,
+    initiator: PeerId,
+    query: &Q,
+    delta: u32,
+    label: &str,
+) {
+    for (ripple, plain) in [
+        (Mode::Ripple(delta), Mode::Slow),
+        (Mode::Ripple(u32::MAX), Mode::Slow),
+        (Mode::Ripple(0), Mode::Fast),
+    ] {
+        let got = exec.run(initiator, query, ripple);
+        let want = exec.run(initiator, query, plain);
+        let case = format!("{label}: {ripple:?} vs {plain:?}");
+        assert_eq!(got.answers, want.answers, "{case} answers");
+        assert_eq!(got.metrics, want.metrics, "{case} ledger");
+        assert_eq!(got.coverage, want.coverage, "{case} coverage");
+        assert_eq!(got.certificate, want.certificate, "{case} certificate");
+    }
 }
 
 #[test]

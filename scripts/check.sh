@@ -29,6 +29,8 @@ cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload
 echo "== parallel-exec smoke (sequential == parallel, thread-scaling gate) =="
 cargo run --release --offline -p ripple-bench --bin parallel_exec_bench -- --smoke
 cargo run --release --offline -p ripple-bench --bin parallel_exec_bench -- --smoke --threads 1
+cargo test --release --offline -p ripple-core parallel_equivalence -- --quiet
+cargo test --release --offline -p ripple-chord --test parallel -- --quiet
 
 echo "== kernel smoke (blocked == scalar cross-check + pruning, no timing gate) =="
 # The equivalence suites prove the columnar block layer is observationally
